@@ -13,7 +13,6 @@ from .errors import (
 from .fractality import (
     ClassificationResult,
     FractalPair,
-    SpectralClassKey,
     VertexTree,
     classification_report,
     classify,
@@ -70,6 +69,7 @@ from .moments import (
     is_scalar,
     moment_report,
     radial_moment,
+    radial_moments,
     tree_return_count,
     truncated_radial_matrix,
     verification_report,

@@ -53,7 +53,7 @@ from .moments import (
     DEFAULT_MAX_STATES,
     identically_distributed,
     moment_report,
-    radial_moment,
+    radial_moments,
     truncated_radial_matrix,
     verification_report,
     verify_moment_theorem,
@@ -148,17 +148,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_max_states(args: argparse.Namespace) -> int:
-    if getattr(args, "max_states", None) is not None:
-        return args.max_states
-    env = os.environ.get(MAX_STATES_ENV)
-    if env is not None:
+    source, cap = "--max-states", getattr(args, "max_states", None)
+    if cap is None:
+        source, env = MAX_STATES_ENV, os.environ.get(MAX_STATES_ENV)
+        if env is None:
+            return DEFAULT_MAX_STATES
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ParameterError(
                 f"{MAX_STATES_ENV} must be an integer, got {env!r}"
             ) from None
-    return DEFAULT_MAX_STATES
+    if cap < 1:
+        raise ParameterError(f"{source} must be >= 1, got {cap}")
+    return cap
 
 
 # --- subcommand handlers; each returns (payload, wrap_in_envelope) ---------
@@ -219,8 +222,8 @@ def _cmd_moments(args) -> tuple[dict, bool]:
     graph = load_graph(args.graph)
     cap = _resolve_max_states(args)
     reports = [
-        moment_report(graph, radial_moment(graph, n, max_states=cap))
-        for n in range(1, args.max_n + 1)
+        moment_report(graph, moment)
+        for moment in radial_moments(graph, args.max_n, max_states=cap)
     ]
     return {"graph": graph.name, "moments": reports}, True
 
@@ -232,6 +235,8 @@ def _cmd_lattice(args) -> tuple[dict, bool]:
         raise ParameterError("--max-n must be >= 0")
     if args.method == "closed" and args.n_bound not in (1, 2):
         raise ParameterError("--method closed requires --N 1 or --N 2")
+    if args.max_paths < 1:
+        raise ParameterError("--max-paths must be >= 1")
     rows = []
     for n in range(0, args.max_n + 1):
         brute = recurrence = closed = None

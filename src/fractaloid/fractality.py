@@ -25,20 +25,12 @@ from .graphs import DirectedGraph, SignedEdge, is_connected, shadow
 
 DEFAULT_MAX_TREE_NODES = 500_000
 
-# Symbolic marker mirroring the infinite-vertex-count classification key;
-# no operation on finite graphs ever emits it.
-INFINITE: float = float("inf")
-
 
 class FractalPair(NamedTuple):
     """Classification key of a fractal graph: (common degree, vertex count)."""
 
     n_zero: int
-    n_sup: int | float
-
-
-# A spectral class is keyed by exactly one fractal pair.
-SpectralClassKey = FractalPair
+    n_sup: int
 
 
 def max_out_degree(graph: DirectedGraph) -> int:

@@ -194,17 +194,6 @@ def shadow(graph: DirectedGraph) -> ShadowedGraph:
 
 FAMILY_KINDS = ("loops", "circulant", "complete", "path", "star")
 
-_FAMILY_ALIASES = {
-    "loops": "loops",
-    "one-vertex-loops": "loops",
-    "circulant": "circulant",
-    "complete": "complete",
-    "path": "path",
-    "linear-path": "path",
-    "star": "star",
-    "two-vertex-tree": "star",
-}
-
 
 def family(kind: str, n: int) -> DirectedGraph:
     """Named graph families.
@@ -219,26 +208,25 @@ def family(kind: str, n: int) -> DirectedGraph:
                 two-vertices-one-edge graph, star(2) the three-vertex fork
                 used as the standard non-fractal tree example
     """
-    canonical = _FAMILY_ALIASES.get(kind)
-    if canonical is None:
+    if kind not in FAMILY_KINDS:
         raise ParameterError(f"unknown family {kind!r}; expected one of {FAMILY_KINDS}")
     if n < 1:
         raise ParameterError(f"family size must be >= 1, got {n}")
-    if canonical in ("circulant", "complete") and n < 2:
-        raise ParameterError(f"family {canonical!r} requires n >= 2, got {n}")
+    if kind in ("circulant", "complete") and n < 2:
+        raise ParameterError(f"family {kind!r} requires n >= 2, got {n}")
 
-    if canonical == "loops":
+    if kind == "loops":
         v = "v1"
         return DirectedGraph(
             f"O{n}", (v,), tuple(EdgeRecord(f"e{j}", v, v) for j in range(1, n + 1))
         )
-    if canonical == "circulant":
+    if kind == "circulant":
         vs = tuple(f"v{j}" for j in range(1, n + 1))
         es = tuple(
             EdgeRecord(f"e{j}", f"v{j}", f"v{j % n + 1}") for j in range(1, n + 1)
         )
         return DirectedGraph(f"K{n}", vs, es)
-    if canonical == "complete":
+    if kind == "complete":
         vs = tuple(f"v{j}" for j in range(1, n + 1))
         es = tuple(
             EdgeRecord(f"e{i}_{j}", f"v{i}", f"v{j}")
@@ -247,7 +235,7 @@ def family(kind: str, n: int) -> DirectedGraph:
             if i != j
         )
         return DirectedGraph(f"C{n}", vs, es)
-    if canonical == "path":
+    if kind == "path":
         vs = tuple(f"v{j}" for j in range(1, n + 1))
         es = tuple(
             EdgeRecord(f"e{j}", f"v{j}", f"v{j + 1}") for j in range(1, n)

@@ -40,25 +40,36 @@ def _perfect_matching(
     vertices: Sequence[str], edges_by_src: dict[str, list[EdgeRecord]]
 ) -> dict[str, EdgeRecord] | None:
     """One out-edge per source with pairwise distinct targets (augmenting
-    paths, deterministic in declaration order)."""
+    paths, searched depth-first on an explicit stack in declaration order)."""
     match_at_target: dict[str, tuple[str, EdgeRecord]] = {}
     chosen: dict[str, EdgeRecord] = {}
 
-    def assign(u: str, visited: set[str]) -> bool:
-        for e in edges_by_src[u]:
-            t = e.dst
-            if t in visited:
+    def assign(root: str) -> bool:
+        visited: set[str] = set()
+        # Frames: (source, the edge that led to it, its untried edges).
+        stack = [(root, None, iter(edges_by_src[root]))]
+        while stack:
+            for e in stack[-1][2]:
+                if e.dst not in visited:
+                    break
+            else:
+                stack.pop()
                 continue
-            visited.add(t)
-            holder = match_at_target.get(t)
-            if holder is None or assign(holder[0], visited):
-                match_at_target[t] = (u, e)
+            visited.add(e.dst)
+            holder = match_at_target.get(e.dst)
+            if holder is not None:
+                stack.append((holder[0], e, iter(edges_by_src[holder[0]])))
+                continue
+            while stack:  # flip the path, innermost edge first
+                u, e_in, _ = stack.pop()
+                match_at_target[e.dst] = (u, e)
                 chosen[u] = e
-                return True
+                e = e_in
+            return True
         return False
 
     for u in vertices:
-        if not assign(u, set()):
+        if not assign(u):
             return None
     return chosen
 

@@ -1,8 +1,8 @@
 """Diagonal moments of the radial operator (the sum of right multiplications
-by all shadowed arcs), computed three ways: a reduced-walk dynamic program, a
-truncated matrix realization on a reduced-word basis, and a return-count DP
-on the 2N-regular tree that serves as the independent oracle for fractal
-graphs.
+by all shadowed arcs), computed three ways: a first-return recurrence on the
+universal cover, a truncated matrix realization on a reduced-word basis, and
+a return-count DP on the 2N-regular tree that serves as the independent
+oracle for fractal graphs.
 
 The moment of order n at a vertex v counts the n-tuples of shadowed arcs
 whose groupoid product reduces to the unit at v. Operator composition
@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 from .errors import FractaloidError, LimitError, ParameterError
 from .fractality import fractal_pair
-from .graphs import DirectedGraph, SignedEdge, shadow
+from .graphs import DirectedGraph, shadow
 from .lattice import count_axis_paths_recurrence
 from .words import ReducedWord, enumerate_words, multiply, path_word, vertex_word
 
 DEFAULT_MAX_STATES = 1_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentVector:
     """Per-vertex moment counts of one order; keys are exactly the vertex
     set of the originating graph."""
@@ -32,44 +32,58 @@ class MomentVector:
     per_vertex: dict[str, int]
 
 
+def radial_moments(
+    graph: DirectedGraph, n_max: int, *, max_states: int = DEFAULT_MAX_STATES
+) -> list[MomentVector]:
+    """Moments of orders 1..n_max at every vertex, by first returns.
+
+    A walk whose letters cancel completely is a closed walk at the root of
+    the universal cover (the vertex tree). Splitting it at its returns to the
+    root gives, per shadowed arc a with reverse arc ~a, power series in z:
+
+        X_a = z^2 R_a                   excursions leaving by a, back by ~a
+        R_a = 1 / (1 - sum X_b)         b leaves target(a), b != ~a
+        M_v = 1 / (1 - sum X_b)         b leaves v
+
+    and the order-n moment at v is the z^n coefficient of M_v; odd orders
+    vanish. The coefficient table has one row per arc and one column per
+    even order up to n_max; `max_states` bounds its size.
+    """
+    if n_max < 1:
+        raise ParameterError(f"moment order must be >= 1, got {n_max}")
+    arcs = shadow(graph).arcs
+    half = n_max // 2
+    if len(arcs) * (half + 1) > max_states:
+        raise LimitError(
+            f"moment table for {graph.name!r} needs {len(arcs)} arcs x "
+            f"{half + 1} orders, over the {max_states}-coefficient budget"
+        )
+    # Coefficients of w^k, w = z^2: r[a][k] of R_a, t[u][k] of the sum of X_b
+    # over the arcs b leaving u, series[v][k] of M_v. Arcs are all forward
+    # arcs, then all shadows, so r[a - m] is the reverse arc's row (a - m wraps).
+    m = len(graph.edges)
+    r = [[1] for _ in arcs]
+    t = {v: [0] * (half + 1) for v in graph.vertices}
+    series = {v: [1] for v in graph.vertices}
+    for k in range(1, half + 1):
+        for a, arc in enumerate(arcs):
+            t[arc.source][k] += r[a][k - 1]
+        for a, arc in enumerate(arcs):
+            ta, back, ra = t[arc.target], r[a - m], r[a]
+            ra.append(sum((ta[j] - back[j - 1]) * ra[k - j] for j in range(1, k + 1)))
+        for v, mv in series.items():
+            mv.append(sum(t[v][j] * mv[k - j] for j in range(1, k + 1)))
+    return [
+        MomentVector(n, {v: 0 if n % 2 else mv[n // 2] for v, mv in series.items()})
+        for n in range(1, n_max + 1)
+    ]
+
+
 def radial_moment(
     graph: DirectedGraph, n: int, *, max_states: int = DEFAULT_MAX_STATES
 ) -> MomentVector:
-    """Order-n diagonal moment by dynamic programming over reduced words.
-
-    For each seed vertex the state map sends a reduced word (spelled from the
-    seed; the empty spelling is the unit) to the number of length-k arc walks
-    reducing to it. Each step extends every word by every arc leaving its
-    range, cancelling at the junction. The count at the unit after n steps is
-    the moment at the seed.
-    """
-    if n < 1:
-        raise ParameterError(f"moment order must be >= 1, got {n}")
-    shadowed = shadow(graph)
-    per_vertex: dict[str, int] = {}
-    for v in graph.vertices:
-        state: dict[tuple[SignedEdge, ...], int] = {(): 1}
-        for _ in range(n):
-            nxt: dict[tuple[SignedEdge, ...], int] = {}
-            for letters, count in state.items():
-                at = letters[-1].target if letters else v
-                for arc in shadowed.arcs_from(at):
-                    if letters:
-                        last = letters[-1]
-                        if last.edge == arc.edge and last.inverted != arc.inverted:
-                            key = letters[:-1]
-                        else:
-                            key = letters + (arc,)
-                    else:
-                        key = (arc,)
-                    nxt[key] = nxt.get(key, 0) + count
-            if len(nxt) > max_states:
-                raise LimitError(
-                    f"moment DP for {graph.name!r} exceeded {max_states} states"
-                )
-            state = nxt
-        per_vertex[v] = state.get((), 0)
-    return MomentVector(n, per_vertex)
+    """The order-n moment alone (see `radial_moments`)."""
+    return radial_moments(graph, n, max_states=max_states)[-1]
 
 
 def tree_return_count(n_bound: int, length: int) -> int:
@@ -122,9 +136,9 @@ def identically_distributed(
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     if len(g1.vertices) != len(g2.vertices):
         return False
-    for n in range(1, n_max + 1):
-        m1 = radial_moment(g1, n, max_states=max_states)
-        m2 = radial_moment(g2, n, max_states=max_states)
+    moments1 = radial_moments(g1, n_max, max_states=max_states)
+    moments2 = radial_moments(g2, n_max, max_states=max_states)
+    for m1, m2 in zip(moments1, moments2):
         s1, s2 = is_scalar(m1), is_scalar(m2)
         if (s1 is None) != (s2 is None):
             return False
@@ -194,8 +208,8 @@ def truncated_radial_matrix(
 
 @dataclass
 class MomentComparisonRow:
-    """One order of the three-way comparison: reduced-walk DP value, tree
-    return count, and axis-path count."""
+    """One order of the three-way comparison: first-return moment (`walk`),
+    2N-regular tree return count, and axis-path count."""
 
     n: int
     walk: int
@@ -236,18 +250,18 @@ def verify_moment_theorem(
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     pair = fractal_pair(graph)
     rows = []
-    for n in range(1, n_max + 1):
-        scalar = is_scalar(radial_moment(graph, n, max_states=max_states))
+    for moment in radial_moments(graph, n_max, max_states=max_states):
+        scalar = is_scalar(moment)
         if scalar is None:
             raise FractaloidError(
                 f"moment of fractal graph {graph.name!r} is unexpectedly non-scalar"
             )
         rows.append(
             MomentComparisonRow(
-                n=n,
+                n=moment.n,
                 walk=scalar,
-                tree=tree_return_count(pair.n_zero, n),
-                lattice=count_axis_paths_recurrence(pair.n_zero, n),
+                tree=tree_return_count(pair.n_zero, moment.n),
+                lattice=count_axis_paths_recurrence(pair.n_zero, moment.n),
             )
         )
     return MomentComparisonReport(graph.name, pair.n_zero, rows)

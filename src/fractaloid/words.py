@@ -129,12 +129,9 @@ def source_range(word: ReducedWord) -> tuple[str, str] | None:
 
 
 def reduce_word(graph: DirectedGraph, letters: Sequence[SignedEdge]) -> ReducedWord:
-    """Reduce a raw letter sequence with the cancellation stack.
-
-    Letters are pushed left to right; a letter that is mutually inverse with
-    the top of the stack pops it instead. Any inadmissible junction makes the
-    whole product empty. An emptied stack leaves the unit at the source of
-    the first letter.
+    """Reduce a raw letter sequence: the product, left to right, of its
+    one-letter words, starting from the unit at the source of the first
+    letter. Any inadmissible junction makes the whole product empty.
     """
     letters = tuple(letters)
     if not letters:
@@ -144,19 +141,10 @@ def reduce_word(graph: DirectedGraph, letters: Sequence[SignedEdge]) -> ReducedW
             raise GraphError(
                 f"letter {arc.token!r} does not belong to graph {graph.name!r}"
             )
-    start = letters[0].source
-    stack: list[SignedEdge] = []
+    word = _trusted_word(graph, letters[0].source, ())
     for arc in letters:
-        current = stack[-1].target if stack else start
-        if arc.source != current:
-            return empty_word(graph)
-        if stack and stack[-1].edge == arc.edge and stack[-1].inverted != arc.inverted:
-            stack.pop()
-        else:
-            stack.append(arc)
-    if not stack:
-        return _trusted_word(graph, start, ())
-    return _trusted_word(graph, None, tuple(stack))
+        word = multiply(word, _trusted_word(graph, None, (arc,)))
+    return word
 
 
 def _require_same_graph(w1: ReducedWord, w2: ReducedWord) -> None:

@@ -274,6 +274,33 @@ def test_env_var_caps_moment_states(capsys, workdir, monkeypatch):
     assert code == 0
 
 
+def test_max_states_flag_below_one_is_usage_error(capsys, workdir):
+    code, stdout, _ = run_cli(capsys, "moments", str(workdir / "o2.json"),
+                              "--max-states", "0")
+    assert code == 1
+    report = json.loads(stdout)
+    assert report["error"]["type"] == "ParameterError"
+    assert "--max-states" in report["error"]["message"]
+
+
+def test_max_states_env_below_one_is_usage_error(capsys, workdir, monkeypatch):
+    monkeypatch.setenv("FRACTALOID_MAX_STATES", "-3")
+    code, stdout, _ = run_cli(capsys, "verify", str(workdir / "o2.json"))
+    assert code == 1
+    report = json.loads(stdout)
+    assert report["error"]["type"] == "ParameterError"
+    assert "FRACTALOID_MAX_STATES" in report["error"]["message"]
+
+
+def test_max_paths_below_one_is_usage_error(capsys):
+    code, stdout, _ = run_cli(capsys, "lattice", "--N", "1", "--max-n", "2",
+                              "--max-paths", "0")
+    assert code == 1
+    report = json.loads(stdout)
+    assert report["error"]["type"] == "ParameterError"
+    assert "--max-paths" in report["error"]["message"]
+
+
 def test_out_flag_writes_report(capsys, workdir, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run_cli(capsys, "check", str(workdir / "k3.json"),

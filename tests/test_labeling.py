@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from fractaloid import (
+    DirectedGraph,
+    EdgeRecord,
     GraphError,
     ParameterError,
     SignedEdge,
@@ -159,3 +163,26 @@ def test_automaton_label_outside_alphabet():
 def test_labeling_dump_shape():
     dump = labeling_dump(canonical_labeling(O2))
     assert dump == {"N": 2, "labels": {"e1": 1, "e2": 2}}
+
+
+def test_matching_survives_long_augmenting_paths():
+    # Three random permutations of 3000 vertices: augmenting paths grow far
+    # past Python's recursion limit.
+    rng = random.Random(2009)
+    vertices = tuple(f"v{i}" for i in range(3000))
+    pairs = []
+    for _ in range(3):
+        targets = list(vertices)
+        rng.shuffle(targets)
+        pairs.extend(zip(vertices, targets))
+    rng.shuffle(pairs)
+    graph = DirectedGraph(
+        "RG3_3000",
+        vertices,
+        tuple(EdgeRecord(f"e{i}", s, t) for i, (s, t) in enumerate(pairs)),
+    )
+    lab = canonical_labeling(graph)
+    assert lab.degree_bound == 3
+    for v in vertices:
+        in_labels = sorted(lab.assignment[e.id] for e in graph.in_edges(v))
+        assert in_labels == [1, 2, 3], v
