@@ -54,6 +54,7 @@ from .labeling import (
 from .lattice import (
     BalancedTupleClass,
     LatticePath,
+    axis_path_counts,
     balanced_tuple_classes,
     closed_form_count,
     count_axis_paths_bruteforce,

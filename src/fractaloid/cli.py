@@ -45,9 +45,9 @@ from .isomorphism import graph_isomorphic
 from .labeling import canonical_labeling, labeling_dump
 from .lattice import (
     DEFAULT_MAX_PATHS,
+    axis_path_counts,
     closed_form_count,
     count_axis_paths_bruteforce,
-    count_axis_paths_recurrence,
 )
 from .moments import (
     DEFAULT_MAX_STATES,
@@ -237,22 +237,22 @@ def _cmd_lattice(args) -> tuple[dict, bool]:
         raise ParameterError("--method closed requires --N 1 or --N 2")
     if args.max_paths < 1:
         raise ParameterError("--max-paths must be >= 1")
+    recurrence = (axis_path_counts(args.n_bound, args.max_n)
+                  if args.method in (None, "recurrence") else None)
     rows = []
     for n in range(0, args.max_n + 1):
-        brute = recurrence = closed = None
+        brute = closed = None
         if args.method in (None, "brute"):
             brute = count_axis_paths_bruteforce(
                 args.n_bound, n, max_paths=args.max_paths
             )
-        if args.method in (None, "recurrence"):
-            recurrence = count_axis_paths_recurrence(args.n_bound, n)
         if args.method in (None, "closed") and args.n_bound in (1, 2):
             closed = closed_form_count(args.n_bound, n)
         rows.append({
             "n": n,
             "total": str((2 * args.n_bound) ** n),
             "brute": None if brute is None else str(brute),
-            "recurrence": None if recurrence is None else str(recurrence),
+            "recurrence": None if recurrence is None else str(recurrence[n]),
             "closed_form": None if closed is None else str(closed),
         })
     return {"N": args.n_bound, "rows": rows}, True
@@ -462,18 +462,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             payload, wrap = _HANDLERS[args.command](args)
+            report = payload
+            if wrap:
+                report = {
+                    "schema_version": SCHEMA_VERSION,
+                    "command": args.command,
+                    "payload": payload,
+                    "warnings": [],
+                }
+            text = _render(args.command, report, args.format)
         except OSError as exc:
             raise GraphError(f"cannot read or write file: {exc}") from exc
-        if wrap:
-            report = {
-                "schema_version": SCHEMA_VERSION,
-                "command": args.command,
-                "payload": payload,
-                "warnings": [],
-            }
-        else:
-            report = payload
-        _emit(args, _render(args.command, report, args.format))
+        except RecursionError:
+            # Vertex trees and their JSON and text renderings recurse per level.
+            raise LimitError(f"{args.command}: input nests too deeply") from None
+        _emit(args, text)
         return 0
     except FractaloidError as exc:
         if isinstance(exc, ParameterError):

@@ -53,14 +53,11 @@ def is_fractal(graph: DirectedGraph) -> bool:
     Requires a connected graph; an edgeless single vertex is connected but
     not fractal (there is no degree N >= 1 to realize).
     """
-    if not is_connected(graph):
-        raise DisconnectedGraphError(
-            f"graph {graph.name!r} is empty or disconnected"
-        )
-    n = max_out_degree(graph)
-    if n == 0:
+    try:
+        fractal_pair(graph)
+    except NotFractalError:
         return False
-    return _first_degree_defect(graph, n) is None
+    return True
 
 
 def fractal_pair(graph: DirectedGraph) -> FractalPair:

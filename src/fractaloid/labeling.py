@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import FractaloidError, GraphError, ParameterError
+from .fractality import _first_degree_defect, max_out_degree
 from .graphs import DirectedGraph, EdgeRecord, ShadowedGraph, SignedEdge, shadow
 from .lattice import LatticePath
 
@@ -84,10 +85,8 @@ def canonical_labeling(graph: DirectedGraph) -> Labeling:
     """
     if not graph.vertices:
         return Labeling(graph, 0, {})
-    n = max(graph.degrees(v).out_degree for v in graph.vertices)
-    regular = n >= 1 and all(
-        graph.degrees(v)[:2] == (n, n) for v in graph.vertices
-    )
+    n = max_out_degree(graph)
+    regular = n >= 1 and _first_degree_defect(graph, n) is None
     assignment: dict[str, int] = {}
     if regular:
         remaining = {v: list(graph.out_edges(v)) for v in graph.vertices}

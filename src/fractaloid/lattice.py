@@ -1,7 +1,7 @@
 """Lattice paths over the steps (1, +-e^k), the axis property, and the count
 of axis paths of a given length by three routes: exhaustive enumeration, the
-stripping recurrence over balanced step multisets, and closed forms for step
-bounds 1 and 2.
+stripping recurrence over balanced step multisets, summed one exponent at a
+time, and closed forms for step bounds 1 and 2.
 
 Steps are kept symbolic as nonzero integers k with 1 <= |k| <= N; because the
 heights e^1, ..., e^N are rationally independent, a path returns to the axis
@@ -155,17 +155,29 @@ def balanced_tuple_classes(n_bound: int, length: int) -> list[BalancedTupleClass
     return classes
 
 
-def count_axis_paths_recurrence(n_bound: int, length: int) -> int:
-    """Sum the recurrence coefficient over all balanced step multisets.
+def axis_path_counts(n_bound: int, max_length: int) -> list[int]:
+    """Axis-path counts of every length 0..max_length, in one pass.
 
-    Zero for odd lengths; 1 for length zero (the empty path)."""
+    The stripping recurrence summed one exponent at a time: stripping the j
+    up-steps and j down-steps of the top exponent gives S_1(h) = 1 and
+    S_k(h) = sum_j C(h, j)^2 S_{k-1}(h - j). The count at length 2h is
+    C(2h, h) S_N(h); odd lengths give 0. O(N h^2) integer operations.
+    """
     if n_bound < 1:
         raise ParameterError(f"step bound must be >= 1, got {n_bound}")
-    if length < 0:
-        raise ParameterError(f"path length must be >= 0, got {length}")
-    if length % 2:
-        return 0
-    return sum(c.coefficient for c in balanced_tuple_classes(n_bound, length))
+    if max_length < 0:
+        raise ParameterError(f"path length must be >= 0, got {max_length}")
+    sums = [1] * (max_length // 2 + 1)
+    for _ in range(n_bound - 1):
+        sums = [sum(comb(h, j) ** 2 * sums[h - j] for j in range(h + 1))
+                for h in range(len(sums))]
+    return [0 if n % 2 else comb(n, n // 2) * sums[n // 2]
+            for n in range(max_length + 1)]
+
+
+def count_axis_paths_recurrence(n_bound: int, length: int) -> int:
+    """The axis-path count of one length (see `axis_path_counts`)."""
+    return axis_path_counts(n_bound, length)[length]
 
 
 def closed_form_count(n_bound: int, length: int) -> int:

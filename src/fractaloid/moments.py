@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import FractaloidError, LimitError, ParameterError
 from .fractality import fractal_pair
 from .graphs import DirectedGraph, shadow
-from .lattice import count_axis_paths_recurrence
+from .lattice import axis_path_counts
 from .words import ReducedWord, enumerate_words, multiply, path_word, vertex_word
 
 DEFAULT_MAX_STATES = 1_000_000
@@ -153,17 +153,14 @@ def identically_distributed(
 @dataclass
 class TruncatedOperator:
     """The radial operator restricted to the reduced words of length <= depth
-    (vertex units included). Transitions leaving the basis are dropped, so
-    power diagonals are exact only for exponents <= depth."""
+    (vertex units included). A closed walk of length n stays within n / 2 of
+    its start, so power diagonals are exact for exponents <= 2 * depth + 1."""
 
     graph: DirectedGraph
     depth: int
     basis: list[ReducedWord]
     index: dict[ReducedWord, int]
     columns: list[dict[int, int]]
-
-    def entry(self, row: int, col: int) -> int:
-        return self.columns[col].get(row, 0)
 
     def is_symmetric(self) -> bool:
         for col, entries in enumerate(self.columns):
@@ -191,18 +188,16 @@ def truncated_radial_matrix(
     graph: DirectedGraph, depth: int, *, max_words: int = DEFAULT_MAX_STATES
 ) -> TruncatedOperator:
     """Assemble the truncated radial operator on the length-bounded basis."""
-    shadowed = shadow(graph)
-    basis = enumerate_words(shadowed, depth, max_words=max_words)
+    basis = enumerate_words(shadow(graph), depth, max_words=max_words)
     index = {word: i for i, word in enumerate(basis)}
-    arc_words = {arc: path_word(graph, [arc]) for arc in shadowed.arcs}
     columns: list[dict[int, int]] = [dict() for _ in basis]
+    # Right multiplication by an arc cancels a word's last letter (its parent)
+    # or appends the arc (a child): a column holds its parent and children.
     for col, word in enumerate(basis):
-        at = word.vertex if word.is_vertex else word.letters[-1].target
-        for arc in shadowed.arcs_from(at):
-            product = multiply(word, arc_words[arc])
-            row = index.get(product)
-            if row is not None:
-                columns[col][row] = columns[col].get(row, 0) + 1
+        if word.is_path:
+            back = path_word(graph, [word.letters[-1].inverse()])
+            parent = index[multiply(word, back)]
+            columns[col][parent] = columns[parent][col] = 1
     return TruncatedOperator(graph, depth, basis, index, columns)
 
 
@@ -249,6 +244,7 @@ def verify_moment_theorem(
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     pair = fractal_pair(graph)
+    lattice = axis_path_counts(pair.n_zero, n_max)
     rows = []
     for moment in radial_moments(graph, n_max, max_states=max_states):
         scalar = is_scalar(moment)
@@ -261,7 +257,7 @@ def verify_moment_theorem(
                 n=moment.n,
                 walk=scalar,
                 tree=tree_return_count(pair.n_zero, moment.n),
-                lattice=count_axis_paths_recurrence(pair.n_zero, moment.n),
+                lattice=lattice[moment.n],
             )
         )
     return MomentComparisonReport(graph.name, pair.n_zero, rows)

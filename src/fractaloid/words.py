@@ -136,14 +136,10 @@ def reduce_word(graph: DirectedGraph, letters: Sequence[SignedEdge]) -> ReducedW
     letters = tuple(letters)
     if not letters:
         raise ParameterError("reduce requires a nonempty letter sequence")
-    for arc in letters:
-        if not graph.contains_edge(arc.edge):
-            raise GraphError(
-                f"letter {arc.token!r} does not belong to graph {graph.name!r}"
-            )
+    factors = [path_word(graph, [arc]) for arc in letters]
     word = _trusted_word(graph, letters[0].source, ())
-    for arc in letters:
-        word = multiply(word, _trusted_word(graph, None, (arc,)))
+    for factor in factors:
+        word = multiply(word, factor)
     return word
 
 

@@ -137,6 +137,15 @@ def test_lattice_budget_exceeded(capsys):
     assert json.loads(stdout)["error"]["type"] == "LimitError"
 
 
+def test_lattice_recurrence_needs_no_budget(capsys):
+    code, stdout, _ = run_cli(capsys, "lattice", "--N", "10", "--max-n", "60",
+                              "--method", "recurrence")
+    assert code == 0
+    rows = json.loads(stdout)["payload"]["rows"]
+    assert rows[2]["recurrence"] == "20" and rows[4]["recurrence"] == "1140"
+    assert all(row["recurrence"] == "0" for row in rows[1::2])
+
+
 def test_lattice_csv_format(capsys):
     code, stdout, _ = run_cli(capsys, "lattice", "--N", "1", "--max-n", "2",
                               "--format", "csv")
@@ -197,6 +206,14 @@ def test_tree_subcommand(capsys, workdir):
     assert payload["regular_branching"] == 2
     assert payload["regular"] is True
     assert len(payload["tree"]["children"]) == 2
+
+
+def test_deep_tree_is_budget_error(capsys, tmp_path):
+    save_graph(family("star", 1), tmp_path / "t11.json")
+    code, stdout, err = run_cli(capsys, "tree", str(tmp_path / "t11.json"),
+                                "--root", "v1", "--depth", "900")
+    assert code == 3 and err == ""
+    assert json.loads(stdout)["error"]["type"] == "LimitError"
 
 
 def test_label_subcommand(capsys, workdir):

@@ -11,8 +11,13 @@ from fractaloid import (
     EdgeRecord,
     DisconnectedGraphError,
     NotFractalError,
+    axis_path_counts,
+    balanced_tuple_classes,
+    count_axis_paths_bruteforce,
     fractal_pair,
     radial_moments,
+    shadow,
+    source_range,
     tree_return_count,
     truncated_radial_matrix,
 )
@@ -39,6 +44,15 @@ def small_multigraphs(draw):
 def test_first_return_moments_match_matrix_and_tree(graph):
     moments = radial_moments(graph, ORDER)
     op = truncated_radial_matrix(graph, ORDER // 2)
+    # A column holds the word's parent and its children in the basis, so
+    # below the truncation depth it sums to the out-degree of the word's end.
+    shadowed = shadow(graph)
+    for word, column in zip(op.basis, op.columns):
+        assert set(column.values()) <= {1} and (
+            len(word) == op.depth
+            or sum(column.values())
+            == len(shadowed.arcs_from(source_range(word)[1]))
+        )
     for n in range(1, ORDER + 1):
         for v in graph.vertices:
             assert moments[n - 1].per_vertex[v] == op.power_diagonal(v, n)
@@ -50,3 +64,13 @@ def test_first_return_moments_match_matrix_and_tree(graph):
         assert set(moments[n - 1].per_vertex.values()) == {
             tree_return_count(degree, n)
         }
+
+
+@pytest.mark.parametrize("n_bound", range(1, 6))
+def test_summed_recurrence_matches_multisets_and_bruteforce(n_bound):
+    counts = axis_path_counts(n_bound, 14)
+    for length, count in enumerate(counts):
+        classes = balanced_tuple_classes(n_bound, length)
+        assert count == sum(c.coefficient for c in classes)
+        if (2 * n_bound) ** length <= 10**5:
+            assert count == count_axis_paths_bruteforce(n_bound, length)
