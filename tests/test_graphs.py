@@ -275,3 +275,83 @@ def test_json_preserves_declaration_order(tmp_path):
     raw = json.loads(path.read_text(encoding="utf-8"))
     assert raw["vertices"] == ["z", "a", "m"]
     assert [e["id"] for e in raw["edges"]] == ["e2", "e1"]
+
+
+def _graph_obj(vertices=("a", "b"), *edges):
+    return {"name": "g", "vertices": list(vertices), "edges": list(edges)}
+
+
+def _edge(id="e", src="a", dst="b"):
+    return {"id": id, "src": src, "dst": dst}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: graph_from_json([]), "graph JSON must be an object"),
+        (lambda: graph_from_json({**_graph_obj(), "color": 1}),
+         "unknown graph keys: ['color']"),
+        (lambda: graph_from_json({"name": "g", "vertices": []}),
+         "missing graph keys: ['edges']"),
+        (lambda: graph_from_json({**_graph_obj(), "name": 7}),
+         "graph name must be a string"),
+        (lambda: graph_from_json(_graph_obj(("a", 3))),
+         "vertices must be a list of strings"),
+        (lambda: graph_from_json({**_graph_obj(), "edges": {}}),
+         "edges must be a list"),
+        (lambda: graph_from_json(_graph_obj(("a", "b"), ["e", "a", "b"])),
+         "each edge must be an object"),
+        (lambda: graph_from_json(_graph_obj(("a", "b"), {**_edge(), "weight": 3})),
+         "unknown edge keys: ['weight']"),
+        (lambda: graph_from_json(_graph_obj(("a", "b"), {"id": "e", "src": "a"})),
+         "edge missing keys: ['dst']"),
+        # Unknown keys are reported before missing ones.
+        (lambda: graph_from_json(_graph_obj(("a", "b"), {"id": "e", "w": 1})),
+         "unknown edge keys: ['w']"),
+        # Missing keys are reported before non-string values.
+        (lambda: graph_from_json(_graph_obj(("a", "b"), {"id": 1, "src": "a"})),
+         "edge missing keys: ['dst']"),
+        (lambda: graph_from_json(_graph_obj(("a", "b"), _edge(id=1))),
+         "edge id/src/dst must be strings"),
+        (lambda: graph_from_json(_graph_obj(("a", "b"), _edge(src=None))),
+         "edge id/src/dst must be strings"),
+        (lambda: graph_from_json(_graph_obj(("a", "b"), _edge(dst=["b"]))),
+         "edge id/src/dst must be strings"),
+        (lambda: graph_from_json(_graph_obj(("a", ""))),
+         "vertex id must be a nonempty string, got ''"),
+        (lambda: DirectedGraph("g", ("a", 3), ()),
+         "vertex id must be a nonempty string, got 3"),
+        (lambda: graph_from_json(_graph_obj(("a", "b", "a"))),
+         "duplicate vertex id 'a' in graph 'g'"),
+        (lambda: graph_from_json(_graph_obj(("a", "b"), _edge(id=""))),
+         "edge id must be a nonempty string, got ''"),
+        (lambda: graph_from_json(_graph_obj(("a", "b"), _edge(), _edge(dst="a"))),
+         "duplicate edge id 'e' in graph 'g'"),
+        (lambda: graph_from_json(_graph_obj(("a", "b"), _edge(id="b"))),
+         "edge id 'b' collides with a vertex id in graph 'g'"),
+        (lambda: graph_from_json(_graph_obj(("a", "b"), _edge(src="x"))),
+         "edge 'e' has undeclared source 'x'"),
+        (lambda: graph_from_json(_graph_obj(("a", "b"), _edge(dst="y"))),
+         "edge 'e' has undeclared target 'y'"),
+        (lambda: graph_from_json(_graph_obj(("a", "b"), _edge(src="x", dst="y"))),
+         "edge 'e' has undeclared source 'x'"),
+        # A non-hashable vertex is a GraphError, not a TypeError.
+        (lambda: DirectedGraph("g", (["a"],), ()),
+         "vertex id must be a nonempty string, got ['a']"),
+    ],
+    ids=[
+        "graph-not-object", "unknown-graph-key", "missing-graph-key",
+        "name-not-string", "vertex-not-string", "edges-not-list",
+        "edge-not-object", "unknown-edge-key", "missing-edge-key",
+        "unknown-before-missing", "missing-before-type", "id-not-string",
+        "src-not-string", "dst-not-string", "empty-vertex-id",
+        "direct-non-string-vertex", "duplicate-vertex", "empty-edge-id",
+        "duplicate-edge-id", "edge-id-is-vertex-id", "undeclared-source",
+        "undeclared-target", "both-undeclared", "non-hashable-vertex",
+    ],
+)
+def test_load_error_messages(build, message):
+    with pytest.raises(GraphError) as excinfo:
+        build()
+    assert type(excinfo.value) is GraphError
+    assert str(excinfo.value) == message
