@@ -157,7 +157,7 @@ def tree_isomorphic(t1: VertexTree, t2: VertexTree) -> bool:
     return _canonical_shape(t1.root) == _canonical_shape(t2.root)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassificationResult:
     """Spectral-class partition of a graph corpus.
 
@@ -172,16 +172,16 @@ class ClassificationResult:
 
 def classify(graphs: Sequence[DirectedGraph]) -> ClassificationResult:
     """Bucket graphs by fractal pair; per-graph failures become rejects."""
-    result = ClassificationResult()
+    classes: dict[FractalPair, list[str]] = {}
+    rejected: list[tuple[str, str]] = []
     for graph in graphs:
         try:
             pair = fractal_pair(graph)
         except (DisconnectedGraphError, NotFractalError) as exc:
-            result.rejected.append((graph.name, str(exc)))
+            rejected.append((graph.name, str(exc)))
             continue
-        result.classes.setdefault(pair, []).append(graph.name)
-    result.classes = dict(sorted(result.classes.items()))
-    return result
+        classes.setdefault(pair, []).append(graph.name)
+    return ClassificationResult(dict(sorted(classes.items())), rejected)
 
 
 def classification_report(result: ClassificationResult) -> dict:

@@ -9,7 +9,7 @@ edges. All operations are pure functions returning new graphs.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -65,33 +65,38 @@ class DirectedGraph:
     )
 
     def __post_init__(self) -> None:
-        vertex_set = set()
+        outgoing: dict[str, list[EdgeRecord]] = {}
         for v in self.vertices:
             _check_token(v, "vertex id")
-            if v in vertex_set:
+            if v in outgoing:
                 raise GraphError(f"duplicate vertex id {v!r} in graph {self.name!r}")
-            vertex_set.add(v)
-        edge_ids = set()
-        outgoing: dict[str, list[EdgeRecord]] = {v: [] for v in self.vertices}
-        incoming: dict[str, list[EdgeRecord]] = {v: [] for v in self.vertices}
+            outgoing[v] = []
+        incoming: dict[str, list[EdgeRecord]] = {v: [] for v in outgoing}
+        edge_by_id: dict[str, EdgeRecord] = {}
         for e in self.edges:
-            _check_token(e.id, "edge id")
-            if e.id in edge_ids:
-                raise GraphError(f"duplicate edge id {e.id!r} in graph {self.name!r}")
-            if e.id in vertex_set:
+            edge_id = e.id
+            _check_token(edge_id, "edge id")
+            if edge_id in edge_by_id:
                 raise GraphError(
-                    f"edge id {e.id!r} collides with a vertex id in graph {self.name!r}"
+                    f"duplicate edge id {edge_id!r} in graph {self.name!r}"
                 )
-            edge_ids.add(e.id)
-            if e.src not in vertex_set:
-                raise GraphError(f"edge {e.id!r} has undeclared source {e.src!r}")
-            if e.dst not in vertex_set:
-                raise GraphError(f"edge {e.id!r} has undeclared target {e.dst!r}")
-            outgoing[e.src].append(e)
-            incoming[e.dst].append(e)
+            if edge_id in outgoing:
+                raise GraphError(
+                    f"edge id {edge_id!r} collides with a vertex id "
+                    f"in graph {self.name!r}"
+                )
+            sources = outgoing.get(e.src)
+            if sources is None:
+                raise GraphError(f"edge {edge_id!r} has undeclared source {e.src!r}")
+            targets = incoming.get(e.dst)
+            if targets is None:
+                raise GraphError(f"edge {edge_id!r} has undeclared target {e.dst!r}")
+            edge_by_id[edge_id] = e
+            sources.append(e)
+            targets.append(e)
         object.__setattr__(self, "_out", {v: tuple(es) for v, es in outgoing.items()})
         object.__setattr__(self, "_in", {v: tuple(es) for v, es in incoming.items()})
-        object.__setattr__(self, "_edge_by_id", {e.id: e for e in self.edges})
+        object.__setattr__(self, "_edge_by_id", edge_by_id)
 
     def contains_edge(self, edge: EdgeRecord) -> bool:
         return self._edge_by_id.get(edge.id) == edge
@@ -316,18 +321,18 @@ def is_connected(graph: DirectedGraph) -> bool:
     """
     if not graph.vertices:
         return False
-    neighbors: dict[str, set[str]] = {v: set() for v in graph.vertices}
-    for e in graph.edges:
-        neighbors[e.src].add(e.dst)
-        neighbors[e.dst].add(e.src)
     seen = {graph.vertices[0]}
-    queue = deque(seen)
-    while queue:
-        u = queue.popleft()
-        for w in neighbors[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
+    stack = [graph.vertices[0]]
+    while stack:
+        u = stack.pop()
+        for e in graph._out[u]:
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+        for e in graph._in[u]:
+            if e.src not in seen:
+                seen.add(e.src)
+                stack.append(e.src)
     return len(seen) == len(graph.vertices)
 
 
@@ -363,18 +368,27 @@ def graph_from_json(obj: object) -> DirectedGraph:
         raise GraphError("edges must be a list")
     records = []
     for entry in edges:
-        if not isinstance(entry, dict):
-            raise GraphError("each edge must be an object")
-        unknown = set(entry) - _EDGE_KEYS
-        if unknown:
-            raise GraphError(f"unknown edge keys: {sorted(unknown)}")
-        missing = _EDGE_KEYS - set(entry)
-        if missing:
-            raise GraphError(f"edge missing keys: {sorted(missing)}")
-        if not all(isinstance(entry[k], str) for k in ("id", "src", "dst")):
+        if type(entry) is not dict or entry.keys() != _EDGE_KEYS:
+            _check_edge_shape(entry)
+        edge_id, src, dst = entry["id"], entry["src"], entry["dst"]
+        if not (isinstance(edge_id, str) and isinstance(src, str)
+                and isinstance(dst, str)):
             raise GraphError("edge id/src/dst must be strings")
-        records.append(EdgeRecord(entry["id"], entry["src"], entry["dst"]))
+        records.append(EdgeRecord(edge_id, src, dst))
     return DirectedGraph(name, tuple(vertices), tuple(records))
+
+
+def _check_edge_shape(entry: object) -> None:
+    """Raise the detailed error for an edge entry that is not a plain dict
+    with exactly the keys id, src and dst (dict subclasses may pass)."""
+    if not isinstance(entry, dict):
+        raise GraphError("each edge must be an object")
+    unknown = set(entry) - _EDGE_KEYS
+    if unknown:
+        raise GraphError(f"unknown edge keys: {sorted(unknown)}")
+    missing = _EDGE_KEYS - set(entry)
+    if missing:
+        raise GraphError(f"edge missing keys: {sorted(missing)}")
 
 
 def save_graph(graph: DirectedGraph, path: str | Path) -> None:

@@ -17,7 +17,7 @@ DEFAULT_MAX_VERTICES = 12
 DEFAULT_MAX_SEARCH_NODES = 500_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphMatch:
     """A witness isomorphism: vertex and edge bijections preserving sources
     and targets."""

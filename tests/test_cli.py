@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fractaloid
 from fractaloid import family, graph_to_json, load_graph, regularize, save_graph
 from fractaloid.cli import main
 
@@ -324,6 +329,23 @@ def test_out_flag_writes_report(capsys, workdir, tmp_path):
                               "--out", str(out))
     assert code == 0 and stdout == ""
     assert json.loads(out.read_text())["payload"]["fractal"] is True
+
+
+def test_out_to_missing_directory_is_graph_error(tmp_path):
+    # Run as `python -m fractaloid`, so a traceback would show on stderr.
+    out = tmp_path / "missing" / "x.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(fractaloid.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "fractaloid", "lattice", "--N", "1",
+         "--max-n", "2", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 2
+    report = json.loads(result.stdout)
+    assert report["error"]["type"] == "GraphError"
+    assert report["exit_code"] == 2
+    assert "Traceback" not in result.stderr
+    assert not out.parent.exists()
 
 
 def test_text_format(capsys, workdir):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from fractaloid import (
@@ -173,6 +175,12 @@ def test_classify_partitions_standard_corpus():
 def test_classify_empty_input():
     result = classify([])
     assert result.classes == {} and result.rejected == []
+
+
+def test_classification_result_is_frozen():
+    result = classify([K3, T21])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.classes = {}
 
 
 def test_classify_rejects_with_reason():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -32,6 +33,13 @@ def test_identity_witness():
     match = graph_isomorphic(g, g)
     assert match is not None
     _apply_witness(g, g, match)
+
+
+def test_graph_match_is_frozen():
+    g = family("circulant", 3)
+    match = graph_isomorphic(g, g)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        match.vertex_map = {}
 
 
 def test_doubled_cycle_vs_complete_not_isomorphic():

@@ -1,5 +1,7 @@
-"""Property tests on random small multigraphs: loops, parallel edges and
-isolated vertices allowed."""
+"""Property tests on random small multigraphs (loops, parallel edges and
+isolated vertices allowed), and on the JSON writer of the CLI."""
+
+import json
 
 import pytest
 
@@ -21,6 +23,7 @@ from fractaloid import (
     tree_return_count,
     truncated_radial_matrix,
 )
+from fractaloid.cli import json_text
 
 # Moments up to order 4 depend on vertex degrees alone; order 6 is the first
 # that sees how the arcs of the cover fit together. A closed walk of length n
@@ -74,3 +77,36 @@ def test_summed_recurrence_matches_multisets_and_bruteforce(n_bound):
         assert count == sum(c.coefficient for c in classes)
         if (2 * n_bound) ** length <= 10**5:
             assert count == count_axis_paths_bruteforce(n_bound, length)
+
+
+# Strings that need escaping: quotes, backslashes, control characters,
+# non-ASCII and non-BMP characters, next to arbitrary text.
+json_strings = st.text(
+    alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600a')
+    | st.characters()
+)
+# Bools next to ints (True must not render as 1), big ints, None.
+json_scalars = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-10**40, max_value=10**40) | json_strings
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+def test_json_writer_matches_stdlib(value):
+    expected = json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+    assert json_text(value) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values)
+def test_ascii_json_writer_matches_stdlib(value):
+    assert json_text(value, ensure_ascii=True) == json.dumps(value, indent=2) + "\n"
