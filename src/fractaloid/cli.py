@@ -239,6 +239,11 @@ def _cmd_lattice(args) -> tuple[dict, bool]:
         raise ParameterError("--max-paths must be >= 1")
     recurrence = (axis_path_counts(args.n_bound, args.max_n)
                   if args.method in (None, "recurrence") else None)
+    if args.method in (None, "brute"):
+        # The first length over the budget fails before any row is enumerated.
+        for n in range(args.max_n + 1):
+            if (2 * args.n_bound) ** n > args.max_paths:
+                count_axis_paths_bruteforce(args.n_bound, n, max_paths=args.max_paths)
     rows = []
     for n in range(0, args.max_n + 1):
         brute = closed = None

@@ -36,12 +36,12 @@ class FractalPair(NamedTuple):
 def max_out_degree(graph: DirectedGraph) -> int:
     if not graph.vertices:
         raise ParameterError("max_out_degree of an empty graph is undefined")
-    return max(graph.degrees(v).out_degree for v in graph.vertices)
+    return max(map(len, graph._out.values()))
 
 
 def _first_degree_defect(graph: DirectedGraph, n: int) -> tuple[str, int, int] | None:
-    for v in graph.vertices:
-        out, inc, _ = graph.degrees(v)
+    for v, out_edges in graph._out.items():
+        out, inc = len(out_edges), len(graph._in[v])
         if out != n or inc != n:
             return (v, out, inc)
     return None

@@ -18,7 +18,7 @@ from .errors import FractaloidError, LimitError, ParameterError
 from .fractality import fractal_pair
 from .graphs import DirectedGraph, shadow
 from .lattice import axis_path_counts
-from .words import ReducedWord, enumerate_words, multiply, path_word, vertex_word
+from .words import ReducedWord, vertex_word, word_tree
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -150,7 +150,7 @@ def identically_distributed(
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncatedOperator:
     """The radial operator restricted to the reduced words of length <= depth
     (vertex units included). A closed walk of length n stays within n / 2 of
@@ -188,16 +188,13 @@ def truncated_radial_matrix(
     graph: DirectedGraph, depth: int, *, max_words: int = DEFAULT_MAX_STATES
 ) -> TruncatedOperator:
     """Assemble the truncated radial operator on the length-bounded basis."""
-    basis = enumerate_words(shadow(graph), depth, max_words=max_words)
+    basis, parents = word_tree(shadow(graph), depth, max_words)
     index = {word: i for i, word in enumerate(basis)}
     columns: list[dict[int, int]] = [dict() for _ in basis]
     # Right multiplication by an arc cancels a word's last letter (its parent)
     # or appends the arc (a child): a column holds its parent and children.
-    for col, word in enumerate(basis):
-        if word.is_path:
-            back = path_word(graph, [word.letters[-1].inverse()])
-            parent = index[multiply(word, back)]
-            columns[col][parent] = columns[parent][col] = 1
+    for col, parent in enumerate(parents, len(graph.vertices)):
+        columns[col][parent] = columns[parent][col] = 1
     return TruncatedOperator(graph, depth, basis, index, columns)
 
 

@@ -10,7 +10,8 @@ product, never kill it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import GraphError, LimitError, ParameterError
@@ -19,7 +20,7 @@ from .graphs import DirectedGraph, EdgeRecord, ShadowedGraph, SignedEdge
 DEFAULT_MAX_WORDS = 1_000_000
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ReducedWord:
     """A reduced element of the graph groupoid.
 
@@ -29,21 +30,9 @@ class ReducedWord:
     reject cross-graph products.
     """
 
-    graph: DirectedGraph
+    graph: DirectedGraph = field(compare=False)
     vertex: str | None = None
     letters: tuple[SignedEdge, ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReducedWord):
-            return NotImplemented
-        return self.vertex == other.vertex and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.vertex, self.letters))
-            object.__setattr__(self, "_hash", cached)
-        return cached
 
     def __post_init__(self) -> None:
         if self.vertex is not None and self.letters:
@@ -143,18 +132,14 @@ def reduce_word(graph: DirectedGraph, letters: Sequence[SignedEdge]) -> ReducedW
     return word
 
 
-def _require_same_graph(w1: ReducedWord, w2: ReducedWord) -> None:
-    if w1.graph is not w2.graph and w1.graph != w2.graph:
-        raise GraphError(
-            f"cannot combine words over graphs {w1.graph.name!r} and {w2.graph.name!r}"
-        )
-
-
 def multiply(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
     """Partial product. Both factors are already reduced, so cancellation can
     happen only across the junction (and may cascade inward from it)."""
-    _require_same_graph(w1, w2)
     graph = w1.graph
+    if w2.graph is not graph and w2.graph != graph:
+        raise GraphError(
+            f"cannot combine words over graphs {graph.name!r} and {w2.graph.name!r}"
+        )
     if w1.is_empty or w2.is_empty:
         return empty_word(graph)
     if w1.is_vertex:
@@ -197,30 +182,43 @@ def enumerate_words(
     Order is deterministic: vertex words in declaration order, then each
     length level sorted lexicographically by letter tokens.
     """
+    return word_tree(shadowed, max_len, max_words)[0]
+
+
+def word_tree(
+    shadowed: ShadowedGraph, max_len: int, max_words: int
+) -> tuple[list[ReducedWord], list[int]]:
+    """The words of `enumerate_words` and, for each path word, its parent's
+    position: the word without its last letter (the source unit for one letter)."""
     if max_len < 0:
         raise ParameterError(f"max_len must be >= 0, got {max_len}")
     graph = shadowed.base
-    words: list[ReducedWord] = [vertex_word(graph, v) for v in graph.vertices]
-    level: list[tuple[SignedEdge, ...]] = [(arc,) for arc in shadowed.arcs]
-    length = 1
-    while length <= max_len and level:
-        level.sort(key=lambda letters: tuple(a.token for a in letters))
+    token = attrgetter("token")
+    arcs_from = {v: sorted(shadowed.arcs_from(v), key=token) for v in graph.vertices}
+    units = {v: i for i, v in enumerate(graph.vertices)}
+    words = [vertex_word(graph, v) for v in graph.vertices]
+    level = [(arc,) for arc in sorted(shadowed.arcs, key=token)] if max_len else []
+    parents = [units[letters[0].source] for letters in level]
+    while level:
         if len(words) + len(level) > max_words:
             raise LimitError(
                 f"word enumeration exceeded the {max_words}-word budget "
-                f"at length {length}"
+                f"at length {len(level[0])}"
             )
         words.extend(_trusted_word(graph, None, letters) for letters in level)
+        if len(level[0]) == max_len:
+            break
+        # Parents in sorted order, each extended by arcs in token order: the
+        # next level comes out sorted too.
         nxt = []
-        for letters in level:
+        for parent, letters in enumerate(level, len(words) - len(level)):
             last = letters[-1]
-            for arc in shadowed.arcs_from(last.target):
-                if arc.edge == last.edge and arc.inverted != last.inverted:
-                    continue
-                nxt.append(letters + (arc,))
+            for arc in arcs_from[last.target]:
+                if arc.edge is not last.edge or arc.inverted == last.inverted:
+                    nxt.append(letters + (arc,))
+                    parents.append(parent)
         level = nxt
-        length += 1
-    return words
+    return words, parents
 
 
 class EdgeBlockType(enum.Enum):

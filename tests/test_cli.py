@@ -142,6 +142,24 @@ def test_lattice_budget_exceeded(capsys):
     assert json.loads(stdout)["error"]["type"] == "LimitError"
 
 
+def test_lattice_brute_force_fails_at_first_over_budget_length(capsys, monkeypatch):
+    enumerate_paths = fractaloid.cli.count_axis_paths_bruteforce
+    requested = []
+
+    def recording(n_bound, length, **kwargs):
+        requested.append(length)
+        return enumerate_paths(n_bound, length, **kwargs)
+
+    monkeypatch.setattr(fractaloid.cli, "count_axis_paths_bruteforce", recording)
+    code, stdout, _ = run_cli(capsys, "lattice", "--N", "1", "--max-n", "40",
+                              "--max-paths", "1000000")
+    assert code == 3
+    # 2^20 = 1048576 is the first length over the budget; the table fails
+    # there without enumerating any shorter length.
+    assert requested == [20]
+    assert "1048576 paths" in json.loads(stdout)["error"]["message"]
+
+
 def test_lattice_recurrence_needs_no_budget(capsys):
     code, stdout, _ = run_cli(capsys, "lattice", "--N", "10", "--max-n", "60",
                               "--method", "recurrence")

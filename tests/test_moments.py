@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -133,6 +134,12 @@ def test_truncated_matrix_exact_window_is_tight():
     assert exact.power_diagonal("v1", 4) == 28
     clipped = truncated_radial_matrix(O2, 1)
     assert clipped.power_diagonal("v1", 4) < 28
+
+
+def test_truncated_operator_is_frozen():
+    op = truncated_radial_matrix(O1, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.depth = 3
 
 
 def test_truncated_matrix_row_sums_interior():

@@ -13,6 +13,7 @@ from fractaloid import (
     EdgeRecord,
     DisconnectedGraphError,
     NotFractalError,
+    ReducedWord,
     axis_path_counts,
     balanced_tuple_classes,
     count_axis_paths_bruteforce,
@@ -56,6 +57,15 @@ def test_first_return_moments_match_matrix_and_tree(graph):
             or sum(column.values())
             == len(shadowed.arcs_from(source_range(word)[1]))
         )
+    # Each path word's column holds its parent, the word without its last
+    # letter (for one letter, the unit at its source).
+    for word, column in zip(op.basis, op.columns):
+        if word.is_path:
+            parent = (
+                ReducedWord(graph, letters=word.letters[:-1]) if len(word) > 1
+                else ReducedWord(graph, vertex=word.letters[0].source)
+            )
+            assert op.index[parent] in column
     for n in range(1, ORDER + 1):
         for v in graph.vertices:
             assert moments[n - 1].per_vertex[v] == op.power_diagonal(v, n)

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from fractaloid import (
+    DirectedGraph,
+    EdgeRecord,
     EdgeBlockType,
     GraphError,
     LimitError,
@@ -160,6 +162,22 @@ def test_enumerate_deterministic_and_duplicate_free():
     second = enumerate_words(shadow(C3), 3)
     assert first == second
     assert len(set(first)) == len(first)
+
+
+def test_enumerate_levels_sorted_by_tokens():
+    rng = random.Random(3)
+    for _ in range(20):
+        vertices = tuple(f"v{i}" for i in range(1, rng.randint(1, 4) + 1))
+        ids = [f"e{i}" for i in range(1, rng.randint(1, 6) + 1)]
+        rng.shuffle(ids)
+        graph = DirectedGraph("G", vertices, tuple(
+            EdgeRecord(i, rng.choice(vertices), rng.choice(vertices)) for i in ids
+        ))
+        words = enumerate_words(shadow(graph), 3)
+        assert [w.vertex for w in words[:len(vertices)]] == list(vertices)
+        for _, level in itertools.groupby(words[len(vertices):], key=len):
+            tokens = [tuple(a.token for a in w.letters) for w in level]
+            assert tokens == sorted(tokens)
 
 
 def test_enumerate_budget():
