@@ -180,17 +180,17 @@ def _cmd_gen(args) -> tuple[dict, bool]:
 
 def _cmd_info(args) -> tuple[dict, bool]:
     graph = load_graph(args.graph)
+    degrees = {}
+    for v in graph.vertices:
+        out, inc = len(graph._out[v]), len(graph._in[v])
+        degrees[v] = {"out": out, "in": inc, "total": out + inc}
     return {
         "name": graph.name,
         "vertex_count": len(graph.vertices),
         "edge_count": len(graph.edges),
         "connected": is_connected(graph),
         "max_out_degree": max_out_degree(graph) if graph.vertices else None,
-        "degrees": {
-            v: {"out": d.out_degree, "in": d.in_degree, "total": d.total}
-            for v in graph.vertices
-            for d in (graph.degrees(v),)
-        },
+        "degrees": degrees,
     }, True
 
 
@@ -274,7 +274,9 @@ def _collect_graph_paths(paths: list[Path]) -> list[Path]:
 
 
 def _cmd_classify(args) -> tuple[dict, bool]:
-    graphs = [load_graph(p) for p in _collect_graph_paths(args.graphs)]
+    # One graph is held at a time. Classification never raises, so the first
+    # file that fails to load still gives the error.
+    graphs = (load_graph(p) for p in _collect_graph_paths(args.graphs))
     return classification_report(classify(graphs)), True
 
 
@@ -302,12 +304,22 @@ def _cmd_compare(args) -> tuple[dict, bool]:
     }, True
 
 
-def _tree_to_json(node) -> dict:
-    return {
-        "vertex": node.vertex,
-        "arc": None if node.arc is None else node.arc.token,
-        "children": [_tree_to_json(child) for child in node.children],
-    }
+def _tree_to_json(root) -> dict:
+    """The payload of a vertex tree, one dict per distinct node: shared
+    subtrees share their dicts and lists."""
+    payloads: dict[int, dict] = {}
+
+    def convert(node) -> dict:
+        payload = payloads.get(id(node))
+        if payload is None:
+            payload = payloads[id(node)] = {
+                "vertex": node.vertex,
+                "arc": None if node.arc is None else node.arc.token,
+                "children": [convert(child) for child in node.children],
+            }
+        return payload
+
+    return convert(root)
 
 
 def _cmd_tree(args) -> tuple[dict, bool]:
@@ -445,14 +457,21 @@ def json_text(value, *, ensure_ascii: bool = False) -> str:
     writes into a StringIO buffer. The stdlib encoder cannot use its C
     accelerator with `indent`; this writer is several times faster, and
     encodes each distinct string once per call: a vertex tree repeats a few
-    dozen tokens tens of thousands of times.
+    dozen tokens tens of thousands of times. A list or tuple met a second
+    time at the same indent (a shared subtree of a vertex tree) is rendered
+    apart and its text kept, so later visits write that text; lists met once
+    cost one dict entry.
     """
     encode = encode_basestring_ascii if ensure_ascii else encode_basestring
     encoded: dict[str, str] = {}
+    # (id, indent) of each list seen: None after the first visit, the text
+    # from the second on.
+    texts: dict[tuple[int, str], str | None] = {}
     buffer = io.StringIO()
     write = buffer.write
 
     def put(o, pad: str) -> None:
+        nonlocal write
         if isinstance(o, str):
             text = encoded.get(o)
             if text is None:
@@ -486,6 +505,17 @@ def json_text(value, *, ensure_ascii: bool = False) -> str:
             if not o:
                 write("[]")
                 return
+            key = (id(o), pad)
+            text = texts.get(key)
+            if text is not None:
+                write(text)
+                return
+            part = None
+            if key in texts:
+                outer, part = write, io.StringIO()
+                write = part.write
+            else:
+                texts[key] = None
             inner = pad + "  "
             sep = "[" + inner
             for item in o:
@@ -493,6 +523,10 @@ def json_text(value, *, ensure_ascii: bool = False) -> str:
                 put(item, inner)
                 sep = "," + inner
             write(pad + "]")
+            if part is not None:
+                write = outer
+                text = texts[key] = part.getvalue()
+                write(text)
         else:
             raise TypeError(
                 f"Object of type {type(o).__name__} is not JSON serializable"

@@ -13,7 +13,7 @@ trees) and does not qualify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DisconnectedGraphError,
@@ -91,7 +91,10 @@ class VertexTree:
     """Depth-bounded unfolding of the shadowed graph from a root vertex.
 
     Each node labeled u has one child per shadowed out-arc of u; the same
-    graph vertex may label many nodes.
+    graph vertex may label many nodes. The subtree below a node depends only
+    on the arc that reached it and its remaining depth, so equal subtrees are
+    one shared `TreeNode`: `root` is a DAG of at most |arcs| * depth + 1
+    distinct nodes, and entries of `children` may be the same object.
     """
 
     graph_name: str
@@ -106,46 +109,77 @@ def vertex_tree(
     *,
     max_nodes: int = DEFAULT_MAX_TREE_NODES,
 ) -> VertexTree:
+    """The vertex tree of `v` to `depth`, built bottom-up with one node per
+    (arc, remaining depth). `max_nodes` bounds the unfolded node count,
+    which is counted before any node is built."""
     if depth < 0:
         raise ParameterError(f"tree depth must be >= 0, got {depth}")
     graph.require_vertex(v)
-    shadowed = shadow(graph)
-    count = 0
-
-    def build(u: str, arc: SignedEdge | None, remaining: int) -> TreeNode:
-        nonlocal count
-        count += 1
-        if count > max_nodes:
-            raise LimitError(
-                f"vertex tree from {v!r} exceeded {max_nodes} nodes at depth {depth}"
-            )
-        if remaining == 0:
-            return TreeNode(u, arc, ())
-        children = tuple(
-            build(a.target, a, remaining - 1) for a in shadowed.arcs_from(u)
+    arcs_from = shadow(graph)._arcs_from
+    # levels[k] holds the vertices that label nodes k arcs below the root;
+    # `level` maps those of the deepest level to their number of nodes.
+    # Counting stops once the budget is exceeded or a level is empty, so no
+    # more levels are kept than the budget has nodes.
+    level = {v: 1}
+    levels, count = [(v,)], 1
+    for _ in range(depth):
+        below: dict[str, int] = {}
+        for u, nodes in level.items():
+            for a in arcs_from[u]:
+                below[a.target] = below.get(a.target, 0) + nodes
+        count += sum(below.values())
+        if not below or count > max_nodes:
+            break
+        level = below
+        levels.append(tuple(below))
+    if count > max_nodes:
+        raise LimitError(
+            f"vertex tree from {v!r} exceeded {max_nodes} nodes at depth {depth}"
         )
-        return TreeNode(u, arc, children)
-
-    return VertexTree(graph.name, build(v, None, depth), depth)
+    # The deepest level holds leaves, or vertices without arcs.
+    children: dict[str, tuple[TreeNode, ...]] = dict.fromkeys(levels[-1], ())
+    for vertices in reversed(levels[:-1]):
+        children = {
+            u: tuple(TreeNode(a.target, a, children[a.target]) for a in arcs_from[u])
+            for u in vertices
+        }
+    return VertexTree(graph.name, TreeNode(v, None, children[v]), depth)
 
 
 def tree_regular_to_depth(tree: VertexTree, k: int) -> bool:
     """True iff every node strictly above the truncation depth has exactly
-    k children, i.e. the tree agrees with the k-regular tree to its depth."""
+    k children, i.e. the tree agrees with the k-regular tree to its depth.
 
-    def check(node: TreeNode, level: int) -> bool:
-        if level >= tree.depth:
-            return True
-        if len(node.children) != k:
+    Walks the tree level by level and visits each distinct node of a level
+    once."""
+    level = [tree.root]
+    for _ in range(tree.depth):
+        if any(len(node.children) != k for node in level):
             return False
-        return all(check(c, level + 1) for c in node.children)
+        level = list({id(c): c for node in level for c in node.children}.values())
+    return True
 
-    return check(tree.root, 0)
 
-
-def _canonical_shape(node: TreeNode) -> tuple:
-    # AHU signature: vertex and arc labels deliberately ignored.
-    return tuple(sorted(_canonical_shape(c) for c in node.children))
+def _canonical_shape(root: TreeNode, shapes: dict[tuple, int]) -> int:
+    """AHU signature of the subtree at `root`, as its index in `shapes`: the
+    sorted tuple of the children's indices, interned. Vertex and arc labels
+    are deliberately ignored. Each distinct node is visited once, without
+    recursion."""
+    index: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in index:
+            stack.pop()
+            continue
+        pending = [c for c in node.children if id(c) not in index]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        key = tuple(sorted(index[id(c)] for c in node.children))
+        index[id(node)] = shapes.setdefault(key, len(shapes))
+    return index[id(root)]
 
 
 def tree_isomorphic(t1: VertexTree, t2: VertexTree) -> bool:
@@ -154,7 +188,8 @@ def tree_isomorphic(t1: VertexTree, t2: VertexTree) -> bool:
         raise ParameterError(
             f"tree depths differ: {t1.depth} vs {t2.depth}"
         )
-    return _canonical_shape(t1.root) == _canonical_shape(t2.root)
+    shapes: dict[tuple, int] = {}
+    return _canonical_shape(t1.root, shapes) == _canonical_shape(t2.root, shapes)
 
 
 @dataclass(frozen=True)
@@ -170,7 +205,7 @@ class ClassificationResult:
     rejected: list[tuple[str, str]] = field(default_factory=list)
 
 
-def classify(graphs: Sequence[DirectedGraph]) -> ClassificationResult:
+def classify(graphs: Iterable[DirectedGraph]) -> ClassificationResult:
     """Bucket graphs by fractal pair; per-graph failures become rejects."""
     classes: dict[FractalPair, list[str]] = {}
     rejected: list[tuple[str, str]] = []

@@ -46,9 +46,10 @@ class DirectedGraph:
     """A finite directed multigraph.
 
     Invariants enforced at construction: vertex ids are unique, edge ids are
-    unique, edge endpoints are declared vertices, and the vertex and edge id
-    sets are disjoint. Declaration order of vertices and edges is preserved
-    and significant for serialization and derived labelings.
+    unique, edge endpoints are declared vertices, the vertex and edge id
+    sets are disjoint, and no edge id is another edge id plus `~` (the
+    token of that edge's shadow). Declaration order of vertices and edges
+    is preserved and significant for serialization and derived labelings.
     """
 
     name: str
@@ -94,6 +95,13 @@ class DirectedGraph:
             edge_by_id[edge_id] = e
             sources.append(e)
             targets.append(e)
+        # The shadow of edge `a` prints as `a~`, so no edge may be named so.
+        for edge_id in edge_by_id:
+            if edge_id[-1] == "~" and edge_id[:-1] in edge_by_id:
+                raise GraphError(
+                    f"edge id {edge_id!r} collides with the shadow of edge "
+                    f"{edge_id[:-1]!r} in graph {self.name!r}"
+                )
         object.__setattr__(self, "_out", {v: tuple(es) for v, es in outgoing.items()})
         object.__setattr__(self, "_in", {v: tuple(es) for v, es in incoming.items()})
         object.__setattr__(self, "_edge_by_id", edge_by_id)
@@ -179,12 +187,16 @@ class ShadowedGraph:
         return self._arcs_from[v]
 
     def as_graph(self) -> DirectedGraph:
-        """The shadowed graph as a plain directed graph (arc tokens as ids)."""
+        """The shadowed graph as a plain directed graph. The arcs of edge `a`
+        become edges `a+` and `a-`: the tokens `a` and `a~` cannot both be
+        edge ids, since `a~` is also the token of the shadow of `a`."""
         return DirectedGraph(
             name=f"shadow({self.base.name})",
             vertices=self.base.vertices,
             edges=tuple(
-                EdgeRecord(arc.token, arc.source, arc.target) for arc in self.arcs
+                EdgeRecord(arc.edge.id + ("-" if arc.inverted else "+"),
+                           arc.source, arc.target)
+                for arc in self.arcs
             ),
         )
 

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import fractaloid
-from fractaloid import family, graph_to_json, load_graph, regularize, save_graph
+from fractaloid import (
+    GraphError, family, graph_to_json, load_graph, regularize, save_graph,
+)
 from fractaloid.cli import main
 
 
@@ -209,6 +211,21 @@ def test_classify_equals_union_of_checks(capsys, workdir):
             assert classified[check["graph"]] == tuple(check["pair"])
         else:
             assert check["graph"] in rejected
+
+
+def test_classify_reports_first_unloadable_file(capsys, workdir):
+    # Graphs load one at a time as they are classified; a bad file sorted
+    # after the valid ones still fails the command with its own error.
+    first, second = workdir / "x_bad.json", workdir / "y_bad.json"
+    first.write_text("{", encoding="utf-8")
+    second.write_text("[]", encoding="utf-8")
+    with pytest.raises(GraphError) as excinfo:
+        load_graph(first)
+    code, stdout, _ = run_cli(capsys, "classify", str(workdir))
+    assert code == 2
+    assert json.loads(stdout)["error"] == {
+        "type": "GraphError", "message": str(excinfo.value),
+    }
 
 
 def test_compare_same_class_graphs(capsys, workdir):

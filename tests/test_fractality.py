@@ -128,9 +128,39 @@ def test_vertex_tree_root_children_match_shadow_degree():
     assert not tree_regular_to_depth(vertex_tree(T21, "v2", 2), 4)
 
 
+def _unfolded_count(tree) -> int:
+    count, stack = 0, [tree.root]
+    while stack:
+        count += 1
+        stack.extend(stack.pop().children)
+    return count
+
+
 def test_vertex_tree_node_budget():
     with pytest.raises(LimitError):
         vertex_tree(family("loops", 3), "v1", 8, max_nodes=50)
+    # The budget bounds the unfolded tree, not its distinct subtrees.
+    count = _unfolded_count(vertex_tree(K3O1, "v1", 4))
+    assert count == 1 + 4 + 4**2 + 4**3 + 4**4
+    vertex_tree(K3O1, "v1", 4, max_nodes=count)
+    with pytest.raises(LimitError) as excinfo:
+        vertex_tree(K3O1, "v1", 4, max_nodes=count - 1)
+    assert str(excinfo.value) == (
+        f"vertex tree from 'v1' exceeded {count - 1} nodes at depth 4"
+    )
+    # 6^40 nodes: the count is known before any node is built.
+    with pytest.raises(LimitError) as excinfo:
+        vertex_tree(family("loops", 3), "v1", 40, max_nodes=10)
+    assert str(excinfo.value) == "vertex tree from 'v1' exceeded 10 nodes at depth 40"
+
+
+def test_deep_vertex_tree_needs_no_recursion():
+    tree = vertex_tree(GE, "v1", 900)
+    assert _unfolded_count(tree) == 901
+    assert tree_regular_to_depth(tree, 1)
+    assert not tree_regular_to_depth(tree, 2)
+    assert tree_isomorphic(tree, tree)
+    assert tree_isomorphic(tree, vertex_tree(GE, "v2", 900))
 
 
 def test_tree_isomorphism_of_fork_leaves():

@@ -338,6 +338,12 @@ def _edge(id="e", src="a", dst="b"):
         # A non-hashable vertex is a GraphError, not a TypeError.
         (lambda: DirectedGraph("g", (["a"],), ()),
          "vertex id must be a nonempty string, got ['a']"),
+        # `e~` is the token of the shadow of `e`; the check runs last.
+        (lambda: graph_from_json(_graph_obj(("a", "b"), _edge(id="e~"), _edge())),
+         "edge id 'e~' collides with the shadow of edge 'e' in graph 'g'"),
+        (lambda: graph_from_json(
+            _graph_obj(("a", "b"), _edge(), _edge(id="e~"), _edge(id="f", src="x"))),
+         "edge 'f' has undeclared source 'x'"),
     ],
     ids=[
         "graph-not-object", "unknown-graph-key", "missing-graph-key",
@@ -348,6 +354,7 @@ def _edge(id="e", src="a", dst="b"):
         "direct-non-string-vertex", "duplicate-vertex", "empty-edge-id",
         "duplicate-edge-id", "edge-id-is-vertex-id", "undeclared-source",
         "undeclared-target", "both-undeclared", "non-hashable-vertex",
+        "edge-id-is-shadow-token", "shadow-token-checked-last",
     ],
 )
 def test_load_error_messages(build, message):

@@ -21,10 +21,14 @@ from fractaloid import (
     radial_moments,
     shadow,
     source_range,
+    tree_isomorphic,
+    tree_regular_to_depth,
     tree_return_count,
     truncated_radial_matrix,
+    vertex_tree,
 )
-from fractaloid.cli import json_text
+from fractaloid.cli import _tree_to_json, json_text
+from fractaloid.fractality import TreeNode, VertexTree
 
 # Moments up to order 4 depend on vertex degrees alone; order 6 is the first
 # that sees how the arcs of the cover fit together. A closed walk of length n
@@ -79,6 +83,58 @@ def test_first_return_moments_match_matrix_and_tree(graph):
         }
 
 
+# Oracles on the vertex tree unfolded node by node, with no shared subtree.
+def _unfold(shadowed, u, arc, remaining):
+    children = () if remaining == 0 else tuple(
+        _unfold(shadowed, a.target, a, remaining - 1) for a in shadowed.arcs_from(u)
+    )
+    return TreeNode(u, arc, children)
+
+
+def _payload(node):
+    return {
+        "vertex": node.vertex,
+        "arc": None if node.arc is None else node.arc.token,
+        "children": [_payload(c) for c in node.children],
+    }
+
+
+def _regular(node, k, remaining):
+    return remaining == 0 or (
+        len(node.children) == k
+        and all(_regular(c, k, remaining - 1) for c in node.children)
+    )
+
+
+def _shape(node):
+    return tuple(sorted(_shape(c) for c in node.children))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_multigraphs(), st.integers(min_value=0, max_value=4))
+def test_shared_vertex_tree_matches_unfolding(graph, depth):
+    shadowed = shadow(graph)
+    trees = []
+    for v in graph.vertices:
+        tree = vertex_tree(graph, v, depth)
+        oracle = _unfold(shadowed, v, None, depth)
+        assert tree == VertexTree(graph.name, oracle, depth)
+        assert _tree_to_json(tree.root) == _payload(oracle)
+        distinct, stack = set(), [tree.root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in distinct:
+                distinct.add(id(node))
+                stack.extend(node.children)
+        assert len(distinct) <= len(shadowed.arcs) * depth + 1
+        for k in range(len(shadowed.arcs) + 2):
+            assert tree_regular_to_depth(tree, k) == _regular(oracle, k, depth)
+        trees.append((tree, _shape(oracle)))
+    for t1, shape1 in trees:
+        for t2, shape2 in trees:
+            assert tree_isomorphic(t1, t2) == (shape1 == shape2)
+
+
 @pytest.mark.parametrize("n_bound", range(1, 6))
 def test_summed_recurrence_matches_multisets_and_bruteforce(n_bound):
     counts = axis_path_counts(n_bound, 14)
@@ -120,3 +176,15 @@ def test_json_writer_matches_stdlib(value):
 @given(json_values)
 def test_ascii_json_writer_matches_stdlib(value):
     assert json_text(value, ensure_ascii=True) == json.dumps(value, indent=2) + "\n"
+
+
+def test_json_writer_with_shared_lists():
+    # One list object met several times at one depth and at several depths,
+    # as in the payload of a vertex tree with shared subtrees.
+    leaf = ["\u00e9", 1, None]
+    shared = [leaf, {"k": leaf}, leaf, ()]
+    pair = (leaf, leaf)
+    value = {"a": shared, "b": [shared, shared, shared, pair], "c": leaf, "d": pair}
+    for ensure_ascii in (False, True):
+        expected = json.dumps(value, indent=2, ensure_ascii=ensure_ascii) + "\n"
+        assert json_text(value, ensure_ascii=ensure_ascii) == expected
