@@ -455,15 +455,12 @@ def json_text(value, *, ensure_ascii: bool = False) -> str:
 
     One recursive pass (one call per nesting level, as in the stdlib encoder)
     writes into a StringIO buffer. The stdlib encoder cannot use its C
-    accelerator with `indent`; this writer is several times faster, and
-    encodes each distinct string once per call: a vertex tree repeats a few
-    dozen tokens tens of thousands of times. A list or tuple met a second
-    time at the same indent (a shared subtree of a vertex tree) is rendered
-    apart and its text kept, so later visits write that text; lists met once
-    cost one dict entry.
+    accelerator with `indent`; this writer is several times faster. A list or
+    tuple met a second time at the same indent (a shared subtree of a vertex
+    tree) is rendered apart and its text kept, so later visits write that
+    text; lists met once cost one dict entry.
     """
     encode = encode_basestring_ascii if ensure_ascii else encode_basestring
-    encoded: dict[str, str] = {}
     # (id, indent) of each list seen: None after the first visit, the text
     # from the second on.
     texts: dict[tuple[int, str], str | None] = {}
@@ -473,10 +470,7 @@ def json_text(value, *, ensure_ascii: bool = False) -> str:
     def put(o, pad: str) -> None:
         nonlocal write
         if isinstance(o, str):
-            text = encoded.get(o)
-            if text is None:
-                text = encoded[o] = encode(o)
-            write(text)
+            write(encode(o))
         elif o is None:
             write("null")
         elif o is True:
@@ -492,11 +486,8 @@ def json_text(value, *, ensure_ascii: bool = False) -> str:
             inner = pad + "  "
             sep = "{" + inner
             for key, item in o.items():
-                text = encoded.get(key)
-                if text is None:
-                    text = encoded[key] = encode(key)
                 write(sep)
-                write(text)
+                write(encode(key))
                 write(": ")
                 put(item, inner)
                 sep = "," + inner

@@ -13,7 +13,7 @@ trees) and does not qualify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DisconnectedGraphError,
@@ -146,39 +146,34 @@ def vertex_tree(
     return VertexTree(graph.name, TreeNode(v, None, children[v]), depth)
 
 
+def _levels(root: TreeNode) -> Iterator[list[TreeNode]]:
+    """The distinct nodes of the tree at `root`, level by level from the root."""
+    level = [root]
+    while level:
+        yield level
+        level = list({id(c): c for node in level for c in node.children}.values())
+
+
 def tree_regular_to_depth(tree: VertexTree, k: int) -> bool:
     """True iff every node strictly above the truncation depth has exactly
-    k children, i.e. the tree agrees with the k-regular tree to its depth.
-
-    Walks the tree level by level and visits each distinct node of a level
-    once."""
-    level = [tree.root]
-    for _ in range(tree.depth):
-        if any(len(node.children) != k for node in level):
-            return False
-        level = list({id(c): c for node in level for c in node.children}.values())
-    return True
+    k children, i.e. the tree agrees with the k-regular tree to its depth."""
+    return all(
+        len(node.children) == k
+        for _, level in zip(range(tree.depth), _levels(tree.root))
+        for node in level
+    )
 
 
 def _canonical_shape(root: TreeNode, shapes: dict[tuple, int]) -> int:
     """AHU signature of the subtree at `root`, as its index in `shapes`: the
     sorted tuple of the children's indices, interned. Vertex and arc labels
-    are deliberately ignored. Each distinct node is visited once, without
-    recursion."""
+    are deliberately ignored. Levels are indexed from the deepest up, so each
+    node's children are indexed before it."""
     index: dict[int, int] = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in index:
-            stack.pop()
-            continue
-        pending = [c for c in node.children if id(c) not in index]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        key = tuple(sorted(index[id(c)] for c in node.children))
-        index[id(node)] = shapes.setdefault(key, len(shapes))
+    for level in reversed(list(_levels(root))):
+        for node in level:
+            key = tuple(sorted(index[id(c)] for c in node.children))
+            index[id(node)] = shapes.setdefault(key, len(shapes))
     return index[id(root)]
 
 

@@ -413,6 +413,7 @@ def save_graph(graph: DirectedGraph, path: str | Path) -> None:
 def load_graph(path: str | Path) -> DirectedGraph:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError and the int-digit limit alike.
         raise GraphError(f"malformed graph JSON in {path}: {exc}") from exc
     return graph_from_json(obj)

@@ -13,12 +13,13 @@ one left-to-right count is canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FractaloidError, LimitError, ParameterError
 from .fractality import fractal_pair
 from .graphs import DirectedGraph, shadow
 from .lattice import axis_path_counts
-from .words import ReducedWord, vertex_word, word_tree
+from .words import ReducedWord, word_tree
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -128,39 +129,45 @@ def identically_distributed(
     """Whether the radial operators agree in distribution up to order n_max
     over a common diagonal algebra.
 
-    Requires equal vertex counts. Scalar moments must be equal; non-scalar
-    moments are compared as value multisets, since the two diagonals are
-    only identified up to a permutation of vertex projections.
+    Requires equal vertex counts. The two diagonals are identified only up to
+    a permutation of vertex projections, so the test asks for one vertex
+    bijection that matches the moments of every order 1..n_max: the sorted
+    lists of per-vertex moment tuples must be equal.
     """
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     if len(g1.vertices) != len(g2.vertices):
         return False
-    moments1 = radial_moments(g1, n_max, max_states=max_states)
-    moments2 = radial_moments(g2, n_max, max_states=max_states)
-    for m1, m2 in zip(moments1, moments2):
-        s1, s2 = is_scalar(m1), is_scalar(m2)
-        if (s1 is None) != (s2 is None):
-            return False
-        if s1 is not None:
-            if s1 != s2:
-                return False
-        elif sorted(m1.per_vertex.values()) != sorted(m2.per_vertex.values()):
-            return False
-    return True
+
+    def profile(graph: DirectedGraph) -> list[tuple[int, ...]]:
+        moments = radial_moments(graph, n_max, max_states=max_states)
+        return sorted(zip(*(m.per_vertex.values() for m in moments)))
+
+    return profile(g1) == profile(g2)
 
 
 @dataclass(frozen=True)
 class TruncatedOperator:
     """The radial operator restricted to the reduced words of length <= depth
     (vertex units included). A closed walk of length n stays within n / 2 of
-    its start, so power diagonals are exact for exponents <= 2 * depth + 1."""
+    its start, so power diagonals are exact for exponents <= 2 * depth + 1.
+
+    The first |V| basis words are the vertex units in declaration order, so
+    `power_diagonal` finds a unit by its vertex's position; `index`, the
+    position of every basis word, is built only when read."""
 
     graph: DirectedGraph
     depth: int
     basis: list[ReducedWord]
-    index: dict[ReducedWord, int]
     columns: list[dict[int, int]]
+
+    @cached_property
+    def index(self) -> dict[ReducedWord, int]:
+        return {word: i for i, word in enumerate(self.basis)}
+
+    @cached_property
+    def _units(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.graph.vertices)}
 
     def is_symmetric(self) -> bool:
         for col, entries in enumerate(self.columns):
@@ -173,7 +180,8 @@ class TruncatedOperator:
         """Diagonal entry of the n-th power at the unit word of `v`."""
         if n < 0:
             raise ParameterError(f"power must be >= 0, got {n}")
-        start = self.index[vertex_word(self.graph, v)]
+        self.graph.require_vertex(v)
+        start = self._units[v]
         vec = {start: 1}
         for _ in range(n):
             nxt: dict[int, int] = {}
@@ -189,13 +197,12 @@ def truncated_radial_matrix(
 ) -> TruncatedOperator:
     """Assemble the truncated radial operator on the length-bounded basis."""
     basis, parents = word_tree(shadow(graph), depth, max_words)
-    index = {word: i for i, word in enumerate(basis)}
     columns: list[dict[int, int]] = [dict() for _ in basis]
     # Right multiplication by an arc cancels a word's last letter (its parent)
     # or appends the arc (a child): a column holds its parent and children.
     for col, parent in enumerate(parents, len(graph.vertices)):
         columns[col][parent] = columns[parent][col] = 1
-    return TruncatedOperator(graph, depth, basis, index, columns)
+    return TruncatedOperator(graph, depth, basis, columns)
 
 
 @dataclass

@@ -281,9 +281,15 @@ def test_verify_csv(capsys, workdir):
     assert lines[2].startswith("K3,1,2,2,2,2")
 
 
-def test_malformed_graph_file(capsys, tmp_path):
+@pytest.mark.parametrize("content", [
+    pytest.param(b"{", id="truncated"),
+    pytest.param(b"\xff\xfe{}", id="not-utf8"),
+    # Over the int-to-str digit limit of Python 3.11 (and 3.10.7 onwards).
+    pytest.param(b"1" * 5000, id="huge-int"),
+])
+def test_malformed_graph_file(capsys, tmp_path, content):
     bad = tmp_path / "bad.json"
-    bad.write_text("{", encoding="utf-8")
+    bad.write_bytes(content)
     code, stdout, _ = run_cli(capsys, "check", str(bad))
     assert code == 2
     assert json.loads(stdout)["error"]["type"] == "GraphError"

@@ -8,6 +8,7 @@ from fractaloid import (
     LimitError,
     NotFractalError,
     ParameterError,
+    UnknownVertexError,
     family,
     fractal_pair,
     identically_distributed,
@@ -134,6 +135,20 @@ def test_truncated_matrix_exact_window_is_tight():
     assert exact.power_diagonal("v1", 4) == 28
     clipped = truncated_radial_matrix(O2, 1)
     assert clipped.power_diagonal("v1", 4) < 28
+
+
+def test_power_diagonal_unknown_vertex():
+    op = truncated_radial_matrix(T21, 2)
+    with pytest.raises(UnknownVertexError) as excinfo:
+        op.power_diagonal("x", 2)
+    assert str(excinfo.value) == f"vertex 'x' not in graph {T21.name!r}"
+
+
+def test_basis_positions():
+    op = truncated_radial_matrix(T21, 3)
+    # The vertex units lead the basis in declaration order.
+    assert [w.vertex for w in op.basis[:3]] == list(T21.vertices)
+    assert [op.index[w] for w in op.basis] == list(range(len(op.basis)))
 
 
 def test_truncated_operator_is_frozen():

@@ -1,12 +1,15 @@
 """Property tests on random small multigraphs (loops, parallel edges and
 isolated vertices allowed), and on the JSON writer of the CLI."""
 
+import contextlib
+import io
+import itertools
 import json
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fractaloid import (
     DirectedGraph,
@@ -17,8 +20,14 @@ from fractaloid import (
     axis_path_counts,
     balanced_tuple_classes,
     count_axis_paths_bruteforce,
+    enumerate_words,
     fractal_pair,
+    graph_to_json,
+    identically_distributed,
+    inverse,
+    multiply,
     radial_moments,
+    reduce_word,
     shadow,
     source_range,
     tree_isomorphic,
@@ -26,8 +35,9 @@ from fractaloid import (
     tree_return_count,
     truncated_radial_matrix,
     vertex_tree,
+    vertex_word,
 )
-from fractaloid.cli import _tree_to_json, json_text
+from fractaloid.cli import _tree_to_json, json_text, main
 from fractaloid.fractality import TreeNode, VertexTree
 
 # Moments up to order 4 depend on vertex degrees alone; order 6 is the first
@@ -38,8 +48,8 @@ ORDER = 6
 
 
 @st.composite
-def small_multigraphs(draw):
-    size = draw(st.integers(min_value=1, max_value=4))
+def small_multigraphs(draw, sizes=st.integers(min_value=1, max_value=4)):
+    size = draw(sizes)
     vertices = tuple(f"v{i}" for i in range(1, size + 1))
     ends = st.sampled_from(vertices)
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=5))
@@ -81,6 +91,70 @@ def test_first_return_moments_match_matrix_and_tree(graph):
         assert set(moments[n - 1].per_vertex.values()) == {
             tree_return_count(degree, n)
         }
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_multigraphs(), st.data())
+def test_groupoid_axioms(graph, data):
+    words = enumerate_words(shadow(graph), 3)
+    by_source: dict = {}
+    for word in words:
+        src, rng = source_range(word)
+        by_source.setdefault(src, []).append(word)
+        if word.is_path:
+            assert reduce_word(graph, word.letters) == word
+        assert multiply(word, inverse(word)) == vertex_word(graph, src)
+        assert multiply(inverse(word), word) == vertex_word(graph, rng)
+    arcs = shadow(graph).arcs
+    if arcs:
+        letters = data.draw(st.lists(st.sampled_from(arcs), min_size=1, max_size=6))
+        reduced = reduce_word(graph, letters)
+        if reduced.is_path:
+            assert reduce_word(graph, reduced.letters) == reduced
+    # Each factor is drawn, half the time, among the words that compose with
+    # the previous one, so that products cancel across the junctions.
+    any_word = st.sampled_from(words)
+    for _ in range(10):
+        triple = [data.draw(any_word)]
+        for _ in range(2):
+            following = by_source[source_range(triple[-1])[1]]
+            triple.append(data.draw(st.sampled_from(following) | any_word))
+        a, b, c = triple
+        assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+@st.composite
+def relabelings(draw, graph):
+    """`graph` with its vertices permuted and some edges reversed: the same
+    undirected multigraph, so the same moments at matching vertices."""
+    image = dict(zip(graph.vertices, draw(st.permutations(graph.vertices))))
+    edges = tuple(
+        EdgeRecord(e.id, image[e.dst], image[e.src]) if draw(st.booleans())
+        else EdgeRecord(e.id, image[e.src], image[e.dst])
+        for e in graph.edges
+    )
+    return DirectedGraph("H", graph.vertices, edges)
+
+
+def _matching_bijection(g1, g2, n_max):
+    m1, m2 = radial_moments(g1, n_max), radial_moments(g2, n_max)
+    return any(
+        all(
+            a.per_vertex[u] == b.per_vertex[w]
+            for a, b in zip(m1, m2)
+            for u, w in zip(g1.vertices, image)
+        )
+        for image in itertools.permutations(g2.vertices)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=ORDER))
+def test_identically_distributed_matches_bijection_oracle(data, size, n_max):
+    g1 = data.draw(small_multigraphs(st.just(size)))
+    g2 = data.draw(small_multigraphs(st.just(size)) | relabelings(g1))
+    assert identically_distributed(g1, g2, n_max) == _matching_bijection(g1, g2, n_max)
 
 
 # Oracles on the vertex tree unfolded node by node, with no shared subtree.
@@ -188,3 +262,111 @@ def test_json_writer_with_shared_lists():
     for ensure_ascii in (False, True):
         expected = json.dumps(value, indent=2, ensure_ascii=ensure_ascii) + "\n"
         assert json_text(value, ensure_ascii=ensure_ascii) == expected
+
+
+# Graph files for the CLI: valid graphs, schema violations, valid text cut
+# short, and arbitrary bytes.
+_graph_texts = small_multigraphs().map(lambda g: json.dumps(graph_to_json(g)))
+
+
+def _violate(args):
+    text, key, value = args
+    obj = json.loads(text)
+    if key == "edge" and obj["edges"]:
+        obj["edges"][0]["src"] = value
+    else:
+        obj[key] = value
+    return json.dumps(obj)
+
+
+_graph_files = st.one_of(
+    _graph_texts.map(str.encode),
+    st.tuples(
+        _graph_texts,
+        st.sampled_from(["name", "vertices", "edges", "edge", "extra"]),
+        json_values,
+    ).map(_violate).map(str.encode),
+    st.tuples(_graph_texts, st.integers(min_value=0)).map(
+        lambda t: t[0][: t[1] % len(t[0])].encode()
+    ),
+    st.binary(max_size=40),
+)
+
+
+def _number(low, high):
+    return st.sampled_from([*map(str, range(low, high + 1)), "x"])
+
+
+def _cli_arguments(draw, command, graph):
+    """Random arguments for one subcommand, within small bounds."""
+
+    def optional(flag, values):
+        return [flag, draw(values)] if draw(st.booleans()) else []
+
+    if command == "gen":
+        return (
+            ["--family", draw(st.sampled_from(
+                ["loops", "circulant", "complete", "path", "star", "pentagon"]
+            )), "--n", draw(_number(-1, 5))]
+            + optional("--regularize", _number(-1, 3))
+            + optional("--loops", _number(-1, 2))
+            + optional("--name", st.text(max_size=3))
+        )
+    if command in ("info", "check", "pair", "label"):
+        return [graph()]
+    if command in ("moments", "verify", "compare"):
+        graphs = [graph(), graph()] if command == "compare" else [graph()]
+        return (
+            graphs
+            + optional("--max-n", _number(-1, 10))
+            + optional("--max-states", _number(0, 300))
+        )
+    if command == "lattice":
+        return (
+            ["--N", draw(_number(-1, 3))]
+            + optional("--max-n", _number(-1, 10))
+            + optional("--method", st.sampled_from(["brute", "recurrence", "closed"]))
+            + optional("--max-paths", _number(0, 500))
+        )
+    if command == "classify":
+        return [graph() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    if command == "tree":
+        return (
+            [graph(), "--root", draw(st.sampled_from(["v1", "v2", "x"]))]
+            + optional("--depth", _number(-1, 4))
+        )
+    assert command == "matrix"
+    return (
+        [graph()]
+        + optional("--depth", _number(-1, 4))
+        + optional("--max-states", _number(0, 300))
+    )
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_never_raises(tmp_path, data):
+    draw = data.draw
+    valid, other = tmp_path / "g1.json", tmp_path / "g2.json"
+    valid.write_bytes(draw(_graph_texts).encode())
+    other.write_bytes(draw(_graph_files))
+    # A graph argument may also be a missing file or the directory itself.
+    paths = st.sampled_from([valid, valid, other, tmp_path / "missing.json", tmp_path])
+
+    def graph():
+        return str(draw(paths))
+
+    command = draw(st.sampled_from([
+        "gen", "info", "check", "pair", "label", "moments", "lattice",
+        "classify", "compare", "tree", "matrix", "verify",
+    ]))
+    argv = [command, *_cli_arguments(draw, command, graph)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv", "text"]))]
+    if draw(st.booleans()):
+        argv += ["--out", str(tmp_path / draw(st.sampled_from(["out.txt", "no/out.txt"])))]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
