@@ -1,7 +1,8 @@
 """Lattice paths over the steps (1, +-e^k), the axis property, and the count
-of axis paths of a given length by three routes: exhaustive enumeration, the
-stripping recurrence over balanced step multisets, summed one exponent at a
-time, and closed forms for step bounds 1 and 2.
+of axis paths of a given length by three routes: brute force, which walks
+every step sequence of each half of the length and matches the halves' end
+balances; the stripping recurrence over balanced step multisets, summed one
+exponent at a time; and closed forms for step bounds 1 and 2.
 
 Steps are kept symbolic as nonzero integers k with 1 <= |k| <= N; because the
 heights e^1, ..., e^N are rationally independent, a path returns to the axis
@@ -11,7 +12,10 @@ floating-point height arithmetic appears anywhere.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import LimitError, ParameterError
@@ -51,10 +55,22 @@ def has_axis_property(path: LatticePath) -> bool:
 def count_axis_paths_bruteforce(
     n_bound: int, length: int, *, max_paths: int = DEFAULT_MAX_PATHS
 ) -> int:
-    """Count axis paths by enumerating all (2N)^n step sequences.
+    """Count axis paths by walking step sequences in two halves.
 
-    The enumeration is the independent oracle for the recurrence and the
-    closed forms; it visits every sequence and prunes nothing.
+    A sequence of n steps returns to the axis exactly when its last
+    ceil(n/2) steps undo the per-exponent balance of its first floor(n/2).
+    Every floor(n/2)-step sequence is walked one at a time and its end
+    balance, negated, tallied; then every ceil(n/2)-step sequence is walked
+    and the tally of its own end balance added. That is
+    (2N)^floor(n/2) + (2N)^ceil(n/2) walked sequences in place of (2N)^n.
+    No binomial or step multiset is used, so the count stays an independent
+    oracle for the recurrence and the closed forms.
+
+    The budget still counts the (2N)^n sequences the count covers, so the
+    routes that may run and the errors they give do not depend on how the
+    count is computed. Balances are sparse (nonzero exponents only), so the
+    memory is bounded by the tally's (2N)^floor(n/2) <= sqrt(max_paths)
+    entries, whatever N is.
     """
     if n_bound < 1:
         raise ParameterError(f"step bound must be >= 1, got {n_bound}")
@@ -66,33 +82,37 @@ def count_axis_paths_bruteforce(
             f"brute-force enumeration of {total} paths exceeds the "
             f"{max_paths}-path budget"
         )
-    moves = [(k, +1) for k in range(1, n_bound + 1)] + [
-        (k, -1) for k in range(1, n_bound + 1)
-    ]
-    balance = [0] * (n_bound + 1)
-    off_axis = 0
+    balance: dict[int, int] = {}
+    tally: Counter[tuple[tuple[int, int], ...]] = Counter()
+    count = 0
 
-    def walk(remaining: int) -> int:
-        nonlocal off_axis
+    def walk(remaining: int, leaf: Callable[[], None]) -> None:
         if remaining == 0:
-            return 0 if off_axis else 1
-        count = 0
-        for k, delta in moves:
-            before = balance[k]
-            balance[k] = before + delta
-            if before == 0:
-                off_axis += 1
-            elif balance[k] == 0:
-                off_axis -= 1
-            count += walk(remaining - 1)
-            if balance[k] == 0:
-                off_axis += 1
-            elif before == 0:
-                off_axis -= 1
-            balance[k] = before
-        return count
+            leaf()
+            return
+        for k in range(1, n_bound + 1):
+            before = balance.get(k, 0)
+            for after in (before + 1, before - 1):
+                if after:
+                    balance[k] = after
+                else:
+                    del balance[k]
+                walk(remaining - 1, leaf)
+            if before:
+                balance[k] = before
+            else:
+                del balance[k]
 
-    return walk(length)
+    def tally_needed() -> None:
+        tally[tuple(sorted((k, -b) for k, b in balance.items()))] += 1
+
+    def add_matches() -> None:
+        nonlocal count
+        count += tally[tuple(sorted(balance.items()))]
+
+    walk(length // 2, tally_needed)
+    walk(length - length // 2, add_matches)
+    return count
 
 
 def tuple_coefficient(values: tuple[int, ...]) -> int:
@@ -136,22 +156,16 @@ def balanced_tuple_classes(n_bound: int, length: int) -> list[BalancedTupleClass
         return []
     half = length // 2
     classes: list[BalancedTupleClass] = []
-
-    def compositions(k: int, remaining: int, acc: list[int]) -> None:
-        if k == n_bound:
-            acc = acc + [remaining]
-            values: list[int] = []
-            for exp in range(n_bound, 0, -1):
-                values.extend([-exp] * acc[exp - 1])
-            for exp in range(1, n_bound + 1):
-                values.extend([exp] * acc[exp - 1])
-            tup = tuple(values)
-            classes.append(BalancedTupleClass(tup, tuple_coefficient(tup)))
-            return
-        for m in range(remaining + 1):
-            compositions(k + 1, remaining - m, acc + [m])
-
-    compositions(1, half, [])
+    # A class is fixed by its up-step counts m_1..m_N, which sum to `half`.
+    # Their running sums are non-decreasing cut points in 0..half; those are
+    # enumerated in lexicographic order, and so are the counts.
+    for cuts in combinations_with_replacement(range(half + 1), n_bound - 1):
+        bounds = (0, *cuts, half)
+        ups = [exp for exp, low, high
+               in zip(range(1, n_bound + 1), bounds, bounds[1:])
+               for _ in range(high - low)]
+        tup = tuple([-exp for exp in reversed(ups)] + ups)
+        classes.append(BalancedTupleClass(tup, tuple_coefficient(tup)))
     return classes
 
 

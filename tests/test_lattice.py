@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -84,6 +85,49 @@ def test_balanced_tuples_are_balanced_and_sorted():
         counts = Counter(cls.values)
         for k in (1, 2, 3):
             assert counts[k] == counts[-k]
+    # Classes come in lexicographic order of their up-step counts
+    # (m_1, ..., m_N), each composition of length / 2 once.
+    for n_bound in (1, 2, 3, 4):
+        for length in range(0, 9, 2):
+            ups = [[cls.values.count(k) for k in range(1, n_bound + 1)]
+                   for cls in balanced_tuple_classes(n_bound, length)]
+            assert all(a < b for a, b in zip(ups, ups[1:]))
+            assert len(ups) == math.comb(length // 2 + n_bound - 1, n_bound - 1)
+    # Many exponents, no recursion per exponent.
+    wide = balanced_tuple_classes(1200, 2)
+    assert len(wide) == 1200
+    assert wide[0].values == (-1200, 1200) and wide[-1].values == (-1, 1)
+
+
+def walk_every_sequence(n_bound, length):
+    """Reference count: walk all (2N)^n step sequences one at a time."""
+    moves = [(k, +1) for k in range(1, n_bound + 1)] + [
+        (k, -1) for k in range(1, n_bound + 1)
+    ]
+    balance = [0] * (n_bound + 1)
+    off_axis = 0
+
+    def walk(remaining):
+        nonlocal off_axis
+        if remaining == 0:
+            return 0 if off_axis else 1
+        count = 0
+        for k, delta in moves:
+            before = balance[k]
+            balance[k] = before + delta
+            if before == 0:
+                off_axis += 1
+            elif balance[k] == 0:
+                off_axis -= 1
+            count += walk(remaining - 1)
+            if balance[k] == 0:
+                off_axis += 1
+            elif before == 0:
+                off_axis -= 1
+            balance[k] = before
+        return count
+
+    return walk(length)
 
 
 def test_recurrence_matches_bruteforce():
@@ -92,6 +136,21 @@ def test_recurrence_matches_bruteforce():
             assert count_axis_paths_recurrence(
                 n_bound, length
             ) == count_axis_paths_bruteforce(n_bound, length)
+    for n_bound in (1, 2, 3):
+        for length in range(0, 10):
+            assert count_axis_paths_bruteforce(
+                n_bound, length, max_paths=(2 * n_bound) ** length
+            ) == walk_every_sequence(n_bound, length)
+
+
+def test_bruteforce_memory_does_not_grow_with_step_bound():
+    tracemalloc.start()
+    try:
+        assert count_axis_paths_bruteforce(10**6, 0) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_closed_forms():
