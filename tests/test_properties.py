@@ -15,11 +15,14 @@ from fractaloid import (
     DirectedGraph,
     EdgeRecord,
     DisconnectedGraphError,
+    GraphError,
     NotFractalError,
     ReducedWord,
+    SignedEdge,
     axis_path_counts,
     balanced_tuple_classes,
     count_axis_paths_bruteforce,
+    empty_word,
     enumerate_words,
     fractal_pair,
     graph_to_json,
@@ -121,6 +124,57 @@ def test_groupoid_axioms(graph, data):
             triple.append(data.draw(st.sampled_from(following) | any_word))
         a, b, c = triple
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+
+def _naive_reduce(graph, letters):
+    """Reduction by its definition: a foreign letter is an error, an
+    inadmissible adjacent pair gives the empty word, and otherwise the first
+    adjacent pair of an arc and its reverse is deleted until none is left."""
+    for arc in letters:
+        if not graph.contains_edge(arc.edge):
+            raise GraphError(f"letter {arc.token!r} is foreign")
+    if any(a.target != b.source for a, b in zip(letters, letters[1:])):
+        return empty_word(graph)
+    word = list(letters)
+    while True:
+        for i, (a, b) in enumerate(zip(word, word[1:])):
+            if a.edge == b.edge and a.inverted != b.inverted:
+                del word[i : i + 2]
+                break
+        else:
+            break
+    if not word:
+        return vertex_word(graph, letters[0].source)
+    return ReducedWord(graph, letters=tuple(word))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs().filter(lambda graph: graph.edges), st.data())
+def test_reduce_word_matches_naive_reducer(graph, data):
+    shadowed = shadow(graph)
+    any_arc = st.sampled_from(shadowed.arcs)
+    # Each letter is drawn, half the time, among the arcs that may follow the
+    # previous one, so that sequences are often admissible and cancel.
+    letters = [data.draw(any_arc)]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=7))):
+        following = shadowed.arcs_from(letters[-1].target)
+        near = st.sampled_from(following) | any_arc if following else any_arc
+        letters.append(data.draw(near))
+    expected = _naive_reduce(graph, letters)
+    assert reduce_word(graph, letters) == expected
+    if len(letters) > 1:
+        cut = data.draw(st.integers(min_value=1, max_value=len(letters) - 1))
+        left = reduce_word(graph, letters[:cut])
+        right = reduce_word(graph, letters[cut:])
+        if not (left.is_empty or right.is_empty):
+            assert multiply(left, right) == expected
+    if data.draw(st.booleans()):
+        # A letter of another graph, with an edge id this graph does not use.
+        foreign = SignedEdge(EdgeRecord("f", "v1", "v1"), data.draw(st.booleans()))
+        at = data.draw(st.integers(min_value=0, max_value=len(letters)))
+        with pytest.raises(GraphError, match="does not belong to graph 'G'"):
+            reduce_word(graph, letters[:at] + [foreign] + letters[at:])
 
 
 @st.composite
