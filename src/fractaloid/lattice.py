@@ -46,10 +46,8 @@ class LatticePath:
 def has_axis_property(path: LatticePath) -> bool:
     """True iff the path ends on the horizontal axis: per exponent k, the
     steps +k and -k occur equally often."""
-    balance = [0] * (path.step_bound + 1)
-    for s in path.steps:
-        balance[abs(s)] += 1 if s > 0 else -1
-    return all(b == 0 for b in balance[1:])
+    count = Counter(path.steps)
+    return all(count[s] == count[-s] for s in count)
 
 
 def count_axis_paths_bruteforce(

@@ -5,6 +5,9 @@ admissible arc paths in the shadowed graph with no adjacent mutually-inverse
 pair. Products are partial: composing words whose range and source disagree
 yields the empty word, and cancellation at the junction can only shorten a
 product, never kill it.
+
+`_cancels` holds the one cancellation rule; word validation, `multiply`, the
+stack of `reduce_word` and the word basis of `word_tree` all use it.
 """
 
 from __future__ import annotations
@@ -40,17 +43,14 @@ class ReducedWord:
         if self.vertex is not None:
             self.graph.require_vertex(self.vertex)
         for i, arc in enumerate(self.letters):
-            if not self.graph.contains_edge(arc.edge):
-                raise GraphError(
-                    f"letter {arc.token!r} does not belong to graph {self.graph.name!r}"
-                )
+            _require_letter(self.graph, arc)
             if i > 0:
                 prev = self.letters[i - 1]
                 if prev.target != arc.source:
                     raise GraphError(
                         f"letters {prev.token!r}.{arc.token!r} are not admissible"
                     )
-                if prev.edge == arc.edge and prev.inverted != arc.inverted:
+                if _cancels(prev, arc):
                     raise GraphError(
                         f"letters {prev.token!r}.{arc.token!r} are not reduced"
                     )
@@ -74,6 +74,18 @@ class ReducedWord:
         return format_word(self)
 
 
+def _cancels(a: SignedEdge, b: SignedEdge) -> bool:
+    """The cancellation rule: `b` is `a` traversed the other way."""
+    return a.inverted != b.inverted and a.edge == b.edge
+
+
+def _require_letter(graph: DirectedGraph, arc: SignedEdge) -> None:
+    if not graph.contains_edge(arc.edge):
+        raise GraphError(
+            f"letter {arc.token!r} does not belong to graph {graph.name!r}"
+        )
+
+
 def _trusted_word(
     graph: DirectedGraph, vertex: str | None, letters: tuple[SignedEdge, ...]
 ) -> ReducedWord:
@@ -87,7 +99,7 @@ def _trusted_word(
 
 
 def empty_word(graph: DirectedGraph) -> ReducedWord:
-    return ReducedWord(graph)
+    return _trusted_word(graph, None, ())
 
 def vertex_word(graph: DirectedGraph, v: str) -> ReducedWord:
     return ReducedWord(graph, vertex=v)
@@ -118,18 +130,25 @@ def source_range(word: ReducedWord) -> tuple[str, str] | None:
 
 
 def reduce_word(graph: DirectedGraph, letters: Sequence[SignedEdge]) -> ReducedWord:
-    """Reduce a raw letter sequence: the product, left to right, of its
-    one-letter words, starting from the unit at the source of the first
-    letter. Any inadmissible junction makes the whole product empty.
+    """Reduce a raw letter sequence, in linear time, to the product of its
+    one-letter words from the unit at the first letter's source. Cancelling
+    never changes the current range, so any inadmissible adjacent pair makes
+    the product empty; otherwise a letter pops a top it cancels, or is pushed.
     """
     letters = tuple(letters)
     if not letters:
         raise ParameterError("reduce requires a nonempty letter sequence")
-    factors = [path_word(graph, [arc]) for arc in letters]
-    word = _trusted_word(graph, letters[0].source, ())
-    for factor in factors:
-        word = multiply(word, factor)
-    return word
+    for arc in letters:
+        _require_letter(graph, arc)
+    if any(a.target != b.source for a, b in zip(letters, letters[1:])):
+        return empty_word(graph)
+    stack: list[SignedEdge] = []
+    for arc in letters:
+        if stack and _cancels(stack[-1], arc):
+            stack.pop()
+        else:
+            stack.append(arc)
+    return _trusted_word(graph, None if stack else letters[0].source, tuple(stack))
 
 
 def multiply(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
@@ -143,26 +162,17 @@ def multiply(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
     if w1.is_empty or w2.is_empty:
         return empty_word(graph)
     if w1.is_vertex:
-        src = source_range(w2)[0]
-        return w2 if src == w1.vertex else empty_word(graph)
+        return w2 if source_range(w2)[0] == w1.vertex else empty_word(graph)
     if w2.is_vertex:
         return w1 if w1.letters[-1].target == w2.vertex else empty_word(graph)
     if w1.letters[-1].target != w2.letters[0].source:
         return empty_word(graph)
-    i = len(w1.letters) - 1
-    j = 0
-    while (
-        i >= 0
-        and j < len(w2.letters)
-        and w1.letters[i].edge == w2.letters[j].edge
-        and w1.letters[i].inverted != w2.letters[j].inverted
-    ):
-        i -= 1
-        j += 1
-    remaining = w1.letters[: i + 1] + w2.letters[j:]
-    if not remaining:
-        return _trusted_word(graph, w1.letters[0].source, ())
-    return _trusted_word(graph, None, remaining)
+    left, right = w1.letters, w2.letters
+    i, j = len(left) - 1, 0
+    while i >= 0 and j < len(right) and _cancels(left[i], right[j]):
+        i, j = i - 1, j + 1
+    remaining = left[: i + 1] + right[j:]
+    return _trusted_word(graph, None if remaining else left[0].source, remaining)
 
 
 def inverse(word: ReducedWord) -> ReducedWord:
@@ -195,6 +205,12 @@ def word_tree(
     graph = shadowed.base
     token = attrgetter("token")
     arcs_from = {v: sorted(shadowed.arcs_from(v), key=token) for v in graph.vertices}
+    # Each arc's continuations in token order, for words of 2+ letters. Keyed by
+    # identity: every letter here is one of `shadowed.arcs`, and ids hash fast.
+    follows = {
+        id(a): [b for b in arcs_from[a.target] if not _cancels(a, b)]
+        for a in (shadowed.arcs if max_len > 1 else ())
+    }
     units = {v: i for i, v in enumerate(graph.vertices)}
     words = [vertex_word(graph, v) for v in graph.vertices]
     level = [(arc,) for arc in sorted(shadowed.arcs, key=token)] if max_len else []
@@ -212,11 +228,9 @@ def word_tree(
         # next level comes out sorted too.
         nxt = []
         for parent, letters in enumerate(level, len(words) - len(level)):
-            last = letters[-1]
-            for arc in arcs_from[last.target]:
-                if arc.edge is not last.edge or arc.inverted == last.inverted:
-                    nxt.append(letters + (arc,))
-                    parents.append(parent)
+            for arc in follows[id(letters[-1])]:
+                nxt.append(letters + (arc,))
+                parents.append(parent)
         level = nxt
     return words, parents
 

@@ -153,6 +153,17 @@ def test_bruteforce_memory_does_not_grow_with_step_bound():
     assert peak < 1_000_000
 
 
+def test_axis_property_memory_does_not_grow_with_step_bound():
+    tracemalloc.start()
+    try:
+        assert has_axis_property(LatticePath((), 10**6))
+        assert not has_axis_property(LatticePath((10**6, 1, -(10**6)), 10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_closed_forms():
     assert closed_form_count(1, 6) == 20
     assert closed_form_count(2, 6) == 400
