@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -409,3 +410,102 @@ def test_schema_version_present(capsys, workdir):
     assert report["schema_version"] == "1.0"
     assert report["command"] == "info"
     assert report["warnings"] == []
+
+
+# Every subcommand in every format, pinned to its exit code, the leading 16
+# hex digits of the sha256 of its stdout, and its stderr. In an argv, "@name"
+# is a workdir file and "@" the workdir itself.
+EMPTY = "e3b0c44298fc1c14"
+
+
+def _no_csv(command):
+    return 1, EMPTY, f"error: csv format is not available for {command!r}\n"
+
+
+def _error(code, message):
+    return code, EMPTY, f"error: {message}\n"
+
+
+NOT_FRACTAL = ("graph 'T2_1' is not fractal: vertex 'v1' has out-degree 2 "
+               "and in-degree 0, expected 2 and 2")
+UNKNOWN_FAMILY = ("unknown family 'pentagoné'; expected one of "
+                  "('loops', 'circulant', 'complete', 'path', 'star')")
+OVER_BUDGET = ("brute-force enumeration of 10077696 paths exceeds the "
+               "10000000-path budget")
+
+GOLDEN = [
+    ("gen", ["gen", "--family", "circulant", "--n", "3"], {
+        "json": (0, "c043200166e1b6a6", ""), "csv": _no_csv("gen"),
+        "text": (0, "bb69c5297e31875a", "")}),
+    ("gen-unicode", ["gen", "--family", "loops", "--n", "2", "--name", "λ"], {
+        "json": (0, "8704bfca33654625", ""), "csv": _no_csv("gen"),
+        "text": (0, "a44e7f907aff1081", "")}),
+    ("info", ["info", "@c3.json"], {
+        "json": (0, "4555149c5a28290d", ""), "csv": _no_csv("info"),
+        "text": (0, "b9f95df0ccca1b4d", "")}),
+    ("check-fractal", ["check", "@k3.json"], {
+        "json": (0, "9714c849b35bc3f7", ""), "csv": _no_csv("check"),
+        "text": (0, "e607f1e2b3538c9a", "")}),
+    ("check-non-fractal", ["check", "@t21.json"], {
+        "json": (0, "ba03c81ccd72588d", ""), "csv": _no_csv("check"),
+        "text": (0, "83d00a171634efd4", "")}),
+    ("pair", ["pair", "@r2k3.json"], {
+        "json": (0, "36cd351024b47a64", ""), "csv": _no_csv("pair"),
+        "text": (0, "a1a43689bcac7b35", "")}),
+    ("label", ["label", "@o2.json"], {
+        "json": (0, "5488edc072c7dbd2", ""), "csv": _no_csv("label"),
+        "text": (0, "874322b35b163bf1", "")}),
+    ("moments", ["moments", "@o2.json", "--max-n", "4"], {
+        "json": (0, "e76ff99b4ab0c119", ""), "csv": (0, "454d088f46aa230a", ""),
+        "text": (0, "ba0ba912110fd940", "")}),
+    ("lattice", ["lattice", "--N", "2", "--max-n", "4"], {
+        "json": (0, "646449da6420ae09", ""), "csv": (0, "1536f557cccc2ae3", ""),
+        "text": (0, "5a0bfffa3e00253f", "")}),
+    ("lattice-closed", ["lattice", "--N", "2", "--max-n", "4", "--method", "closed"], {
+        "json": (0, "96f60eb68eb7156f", ""), "csv": (0, "fe0a254af3b7e2bb", ""),
+        "text": (0, "2566d9c701c89fe7", "")}),
+    ("classify", ["classify", "@"], {
+        "json": (0, "accd210435af8558", ""), "csv": (0, "c0839137417e65b5", ""),
+        "text": (0, "20f6a0702830d0f5", "")}),
+    ("compare", ["compare", "@r2k3.json", "@c3.json", "--max-n", "6"], {
+        "json": (0, "6010f9e83ed54b24", ""), "csv": _no_csv("compare"),
+        "text": (0, "4ed152439f408bb3", "")}),
+    ("compare-non-fractal", ["compare", "@t21.json", "@k3.json", "--max-n", "4"], {
+        "json": (0, "e5c4fc2e8a2b16d1", ""), "csv": _no_csv("compare"),
+        "text": (0, "b6c931aa23036ede", "")}),
+    ("matrix", ["matrix", "@o2.json", "--depth", "3"], {
+        "json": (0, "e083eed0196b3059", ""), "csv": _no_csv("matrix"),
+        "text": (0, "a8014ba4d1a51f5e", "")}),
+    ("verify", ["verify", "@o2.json", "--max-n", "4"], {
+        "json": (0, "0614a71189326547", ""), "csv": (0, "4dab847f5817fe1f", ""),
+        "text": (0, "545db04f9f1456ab", "")}),
+    # The vertex tree of K3 shares its subtrees.
+    ("tree", ["tree", "@k3.json", "--root", "v1", "--depth", "3"], {
+        "json": (0, "7109bb097fe3dc7d", ""), "csv": _no_csv("tree"),
+        "text": (0, "7a84be71fcc693ea", "")}),
+    ("exit1-unicode", ["gen", "--family", "pentagoné", "--n", "3"], {
+        "json": (1, "2f15c18b910f48ae", ""), "csv": _error(1, UNKNOWN_FAMILY),
+        "text": _error(1, UNKNOWN_FAMILY)}),
+    ("exit1-max-n", ["moments", "@o2.json", "--max-n", "0"], {
+        "json": (1, "fa01ecc0845ec356", ""),
+        "csv": _error(1, "--max-n must be >= 1"),
+        "text": _error(1, "--max-n must be >= 1")}),
+    ("exit2-not-fractal", ["pair", "@t21.json"], {
+        "json": (2, "77bf2f0bea564126", ""), "csv": _error(2, NOT_FRACTAL),
+        "text": _error(2, NOT_FRACTAL)}),
+    ("exit3-budget", ["lattice", "--N", "3", "--max-n", "14", "--method", "brute"], {
+        "json": (3, "c6e081497a037eb9", ""), "csv": _error(3, OVER_BUDGET),
+        "text": _error(3, OVER_BUDGET)}),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, expected", [
+    pytest.param(argv, fmt, expected, id=f"{name}-{fmt}")
+    for name, argv, by_format in GOLDEN
+    for fmt, expected in by_format.items()
+])
+def test_report_bytes_are_pinned(capsys, workdir, argv, fmt, expected):
+    argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
+    code, stdout, err = run_cli(capsys, *argv, "--format", fmt)
+    digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()[:16]
+    assert (code, digest, err) == expected

@@ -40,7 +40,7 @@ from fractaloid import (
     vertex_tree,
     vertex_word,
 )
-from fractaloid.cli import _tree_to_json, json_text, main
+from fractaloid.cli import _render_text, _tree_to_json, json_text, main
 from fractaloid.fractality import TreeNode, VertexTree
 
 # Moments up to order 4 depend on vertex degrees alone; order 6 is the first
@@ -261,6 +261,22 @@ def test_shared_vertex_tree_matches_unfolding(graph, depth):
     for t1, shape1 in trees:
         for t2, shape2 in trees:
             assert tree_isomorphic(t1, t2) == (shape1 == shape2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_multigraphs(), st.integers(min_value=0, max_value=4))
+def test_text_writer_renders_shared_subtrees_as_unfolded(graph, depth):
+    for v in graph.vertices:
+        shared = _tree_to_json(vertex_tree(graph, v, depth).root)
+        unshared = json.loads(json.dumps(shared))
+        assert _render_text(shared) == _render_text(unshared)
+
+
+def test_text_writer_with_containers_shared_across_depths():
+    leaf = {"x": [1, [2, None]], "y": []}
+    shared = [leaf, leaf, {}]
+    value = {"a": shared, "b": [shared, leaf], "c": leaf, "d": {"e": shared}}
+    assert _render_text(value) == _render_text(json.loads(json.dumps(value)))
 
 
 @pytest.mark.parametrize("n_bound", range(1, 6))
