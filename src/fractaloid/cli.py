@@ -13,6 +13,7 @@ import csv
 import io
 import os
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
@@ -71,16 +72,18 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    sub.add_argument("--out", type=Path, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fractaloid", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    gen = commands.add_parser("gen", help="generate a named family graph file")
+    def command(name, handler, help_text, *graphs):
+        sub = commands.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
+        for graph in graphs:
+            sub.add_argument(graph, type=Path)
+        return sub
+
+    gen = command("gen", _cmd_gen, "generate a named family graph file")
     gen.add_argument("--family", required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--regularize", type=int, default=None, metavar="K",
@@ -88,62 +91,53 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--loops", type=int, default=None, metavar="M",
                      help="attach M fresh loops at every vertex")
     gen.add_argument("--name", default=None, help="override the graph name")
-    _add_output_flags(gen)
 
-    for cmd, help_text in (
-        ("info", "structural summary of a graph"),
-        ("check", "decide fractality and report the fractal pair"),
-        ("pair", "fractal pair of a fractal graph (error when non-fractal)"),
-        ("label", "canonical lattice labeling of a graph"),
+    for name, handler, help_text in (
+        ("info", _cmd_info, "structural summary of a graph"),
+        ("check", _cmd_check, "decide fractality and report the fractal pair"),
+        ("pair", _cmd_pair, "fractal pair of a fractal graph (error when non-fractal)"),
+        ("label", _cmd_label, "canonical lattice labeling of a graph"),
     ):
-        sub = commands.add_parser(cmd, help=help_text)
-        sub.add_argument("graph", type=Path)
-        _add_output_flags(sub)
+        command(name, handler, help_text, "graph")
 
-    moments = commands.add_parser("moments", help="diagonal radial moments")
-    moments.add_argument("graph", type=Path)
+    moments = command("moments", _cmd_moments, "diagonal radial moments", "graph")
     moments.add_argument("--max-n", type=int, default=6)
     moments.add_argument("--max-states", type=int, default=None)
-    _add_output_flags(moments)
 
-    lattice = commands.add_parser("lattice", help="axis-path count table")
+    lattice = command("lattice", _cmd_lattice, "axis-path count table")
     lattice.add_argument("--N", type=int, required=True, dest="n_bound")
     lattice.add_argument("--max-n", type=int, default=8)
     lattice.add_argument("--method", choices=("brute", "recurrence", "closed"),
                          default=None, help="restrict to one counting method")
     lattice.add_argument("--max-paths", type=int, default=DEFAULT_MAX_PATHS)
-    _add_output_flags(lattice)
 
-    cls = commands.add_parser("classify", help="partition graphs into spectral classes")
+    cls = command("classify", _cmd_classify, "partition graphs into spectral classes")
     cls.add_argument("graphs", type=Path, nargs="+",
                      help="graph files or directories of *.json files")
-    _add_output_flags(cls)
 
-    compare = commands.add_parser("compare", help="isomorphism and moment comparison")
-    compare.add_argument("graph1", type=Path)
-    compare.add_argument("graph2", type=Path)
+    compare = command("compare", _cmd_compare, "isomorphism and moment comparison",
+                      "graph1", "graph2")
     compare.add_argument("--max-n", type=int, default=6)
     compare.add_argument("--max-states", type=int, default=None)
-    _add_output_flags(compare)
 
-    tree = commands.add_parser("tree", help="depth-bounded vertex tree")
-    tree.add_argument("graph", type=Path)
+    tree = command("tree", _cmd_tree, "depth-bounded vertex tree", "graph")
     tree.add_argument("--root", required=True)
     tree.add_argument("--depth", type=int, default=3)
-    _add_output_flags(tree)
 
-    matrix = commands.add_parser("matrix", help="truncated radial matrix diagnostics")
-    matrix.add_argument("graph", type=Path)
+    matrix = command("matrix", _cmd_matrix, "truncated radial matrix diagnostics",
+                     "graph")
     matrix.add_argument("--depth", type=int, default=4)
     matrix.add_argument("--max-states", type=int, default=None)
-    _add_output_flags(matrix)
 
-    verify = commands.add_parser("verify", help="three-way moment comparison table")
-    verify.add_argument("graph", type=Path)
+    verify = command("verify", _cmd_verify, "three-way moment comparison table",
+                     "graph")
     verify.add_argument("--max-n", type=int, default=8)
     verify.add_argument("--max-states", type=int, default=None)
-    _add_output_flags(verify)
 
+    # The output flags, last in every subcommand's usage and help.
+    for sub in commands.choices.values():
+        sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        sub.add_argument("--out", type=Path, default=None)
     return parser
 
 
@@ -164,9 +158,9 @@ def _resolve_max_states(args: argparse.Namespace) -> int:
     return cap
 
 
-# --- subcommand handlers; each returns (payload, wrap_in_envelope) ---------
+# --- subcommand handlers; each returns its payload ---------------------------
 
-def _cmd_gen(args) -> tuple[dict, bool]:
+def _cmd_gen(args) -> dict:
     graph = family(args.family, args.n)
     if args.regularize is not None:
         graph = regularize(graph, args.regularize)
@@ -174,11 +168,10 @@ def _cmd_gen(args) -> tuple[dict, bool]:
         graph = iterated_glue_loops(graph, args.loops)
     if args.name is not None:
         graph = DirectedGraph(args.name, graph.vertices, graph.edges)
-    # The bare graph schema, so the output is loadable by every other command.
-    return graph_to_json(graph), False
+    return graph_to_json(graph)
 
 
-def _cmd_info(args) -> tuple[dict, bool]:
+def _cmd_info(args) -> dict:
     graph = load_graph(args.graph)
     degrees = {}
     for v in graph.vertices:
@@ -191,32 +184,35 @@ def _cmd_info(args) -> tuple[dict, bool]:
         "connected": is_connected(graph),
         "max_out_degree": max_out_degree(graph) if graph.vertices else None,
         "degrees": degrees,
-    }, True
+    }
 
 
-def _cmd_check(args) -> tuple[dict, bool]:
-    graph = load_graph(args.graph)
+def _pair_or_reason(graph) -> tuple[list[int] | None, str | None]:
+    """The fractal pair of `graph` and None, or None and why it has none."""
     try:
-        pair = fractal_pair(graph)
+        return list(fractal_pair(graph)), None
     except (NotFractalError, DisconnectedGraphError) as exc:
-        return {"graph": graph.name, "fractal": False, "pair": None,
-                "reason": str(exc)}, True
-    return {"graph": graph.name, "fractal": True,
-            "pair": [pair.n_zero, pair.n_sup], "reason": None}, True
+        return None, str(exc)
 
 
-def _cmd_pair(args) -> tuple[dict, bool]:
+def _cmd_check(args) -> dict:
     graph = load_graph(args.graph)
-    pair = fractal_pair(graph)
-    return {"graph": graph.name, "pair": [pair.n_zero, pair.n_sup]}, True
+    pair, reason = _pair_or_reason(graph)
+    return {"graph": graph.name, "fractal": pair is not None, "pair": pair,
+            "reason": reason}
 
 
-def _cmd_label(args) -> tuple[dict, bool]:
+def _cmd_pair(args) -> dict:
     graph = load_graph(args.graph)
-    return labeling_dump(canonical_labeling(graph)), True
+    return {"graph": graph.name, "pair": list(fractal_pair(graph))}
 
 
-def _cmd_moments(args) -> tuple[dict, bool]:
+def _cmd_label(args) -> dict:
+    graph = load_graph(args.graph)
+    return labeling_dump(canonical_labeling(graph))
+
+
+def _cmd_moments(args) -> dict:
     if args.max_n < 1:
         raise ParameterError("--max-n must be >= 1")
     graph = load_graph(args.graph)
@@ -225,10 +221,10 @@ def _cmd_moments(args) -> tuple[dict, bool]:
         moment_report(graph, moment)
         for moment in radial_moments(graph, args.max_n, max_states=cap)
     ]
-    return {"graph": graph.name, "moments": reports}, True
+    return {"graph": graph.name, "moments": reports}
 
 
-def _cmd_lattice(args) -> tuple[dict, bool]:
+def _cmd_lattice(args) -> dict:
     if args.n_bound < 1:
         raise ParameterError("--N must be >= 1")
     if args.max_n < 0:
@@ -237,30 +233,24 @@ def _cmd_lattice(args) -> tuple[dict, bool]:
         raise ParameterError("--method closed requires --N 1 or --N 2")
     if args.max_paths < 1:
         raise ParameterError("--max-paths must be >= 1")
+    brute = args.method in (None, "brute")
+    closed = args.method in (None, "closed") and args.n_bound in (1, 2)
     recurrence = (axis_path_counts(args.n_bound, args.max_n)
                   if args.method in (None, "recurrence") else None)
-    if args.method in (None, "brute"):
+    if brute:
         # The first length over the budget fails before any row is enumerated.
         for n in range(args.max_n + 1):
             if (2 * args.n_bound) ** n > args.max_paths:
                 count_axis_paths_bruteforce(args.n_bound, n, max_paths=args.max_paths)
-    rows = []
-    for n in range(0, args.max_n + 1):
-        brute = closed = None
-        if args.method in (None, "brute"):
-            brute = count_axis_paths_bruteforce(
-                args.n_bound, n, max_paths=args.max_paths
-            )
-        if args.method in (None, "closed") and args.n_bound in (1, 2):
-            closed = closed_form_count(args.n_bound, n)
-        rows.append({
-            "n": n,
-            "total": str((2 * args.n_bound) ** n),
-            "brute": None if brute is None else str(brute),
-            "recurrence": None if recurrence is None else str(recurrence[n]),
-            "closed_form": None if closed is None else str(closed),
-        })
-    return {"N": args.n_bound, "rows": rows}, True
+    rows = [{
+        "n": n,
+        "total": str((2 * args.n_bound) ** n),
+        "brute": str(count_axis_paths_bruteforce(
+            args.n_bound, n, max_paths=args.max_paths)) if brute else None,
+        "recurrence": None if recurrence is None else str(recurrence[n]),
+        "closed_form": str(closed_form_count(args.n_bound, n)) if closed else None,
+    } for n in range(args.max_n + 1)]
+    return {"N": args.n_bound, "rows": rows}
 
 
 def _collect_graph_paths(paths: list[Path]) -> list[Path]:
@@ -273,35 +263,28 @@ def _collect_graph_paths(paths: list[Path]) -> list[Path]:
     return found
 
 
-def _cmd_classify(args) -> tuple[dict, bool]:
+def _cmd_classify(args) -> dict:
     # One graph is held at a time. Classification never raises, so the first
     # file that fails to load still gives the error.
     graphs = (load_graph(p) for p in _collect_graph_paths(args.graphs))
-    return classification_report(classify(graphs)), True
+    return classification_report(classify(graphs))
 
 
-def _cmd_compare(args) -> tuple[dict, bool]:
+def _cmd_compare(args) -> dict:
     g1 = load_graph(args.graph1)
     g2 = load_graph(args.graph2)
     cap = _resolve_max_states(args)
     match = graph_isomorphic(g1, g2)
-    pairs = []
-    for g in (g1, g2):
-        try:
-            p = fractal_pair(g)
-            pairs.append([p.n_zero, p.n_sup])
-        except (NotFractalError, DisconnectedGraphError):
-            pairs.append(None)
     return {
         "graphs": [g1.name, g2.name],
         "isomorphic": match is not None,
         "vertex_map": None if match is None else match.vertex_map,
-        "pairs": pairs,
+        "pairs": [_pair_or_reason(g)[0] for g in (g1, g2)],
         "identically_distributed": identically_distributed(
             g1, g2, args.max_n, max_states=cap
         ),
         "max_n": args.max_n,
-    }, True
+    }
 
 
 def _tree_to_json(root) -> dict:
@@ -322,7 +305,7 @@ def _tree_to_json(root) -> dict:
     return convert(root)
 
 
-def _cmd_tree(args) -> tuple[dict, bool]:
+def _cmd_tree(args) -> dict:
     graph = load_graph(args.graph)
     tree = vertex_tree(graph, args.root, args.depth)
     branching = 2 * max_out_degree(graph)
@@ -333,10 +316,10 @@ def _cmd_tree(args) -> tuple[dict, bool]:
         "regular_branching": branching,
         "regular": tree_regular_to_depth(tree, branching),
         "tree": _tree_to_json(tree.root),
-    }, True
+    }
 
 
-def _cmd_matrix(args) -> tuple[dict, bool]:
+def _cmd_matrix(args) -> dict:
     if args.depth < 0:
         raise ParameterError("--depth must be >= 0")
     graph = load_graph(args.graph)
@@ -357,77 +340,68 @@ def _cmd_matrix(args) -> tuple[dict, bool]:
         "basis_size": len(op.basis),
         "symmetric": op.is_symmetric(),
         "diagonal": diagonal,
-    }, True
+    }
 
 
-def _cmd_verify(args) -> tuple[dict, bool]:
+def _cmd_verify(args) -> dict:
     if args.max_n < 1:
         raise ParameterError("--max-n must be >= 1")
     graph = load_graph(args.graph)
     cap = _resolve_max_states(args)
     return verification_report(
         verify_moment_theorem(graph, args.max_n, max_states=cap)
-    ), True
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "info": _cmd_info,
-    "check": _cmd_check,
-    "pair": _cmd_pair,
-    "label": _cmd_label,
-    "moments": _cmd_moments,
-    "lattice": _cmd_lattice,
-    "classify": _cmd_classify,
-    "compare": _cmd_compare,
-    "tree": _cmd_tree,
-    "matrix": _cmd_matrix,
-    "verify": _cmd_verify,
-}
+    )
 
 
 # --- rendering --------------------------------------------------------------
 
-def _render_text(value, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    lines: list[str] = []
+def _render_text(value, indent: int = 0, rendered: dict | None = None) -> list[str]:
+    """The lines of the text report of a dict or list: `key: item` for each
+    item of a dict, `- item` for each item of a list, and a nested dict or
+    list under its own `key:` or `-` line, one indent deeper. Tuples and
+    scalars print through `str`. The lines of a dict or list met again at the
+    same indent (a shared subtree of a vertex tree) are rendered once: they
+    are kept in `rendered` by (id, indent)."""
+    # An empty container (the children of a tree leaf) returns before any
+    # call. A call there, or a generator frame, would count one level deeper
+    # and lower the tree depth at which the recursion limit is hit.
+    if not value:
+        return []
+    if rendered is None:
+        rendered = {}
+    lines = rendered.get((id(value), indent))
+    if lines is not None:
+        return lines
+    pad, lines = "  " * indent, []
     if isinstance(value, dict):
-        for key, item in value.items():
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {item}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {item}")
+        items = zip(map("{}:".format, value), value.values())
     else:
-        lines.append(f"{pad}{value}")
+        items = zip(repeat("-"), value)
+    for head, item in items:
+        if isinstance(item, (dict, list)):
+            lines.append(f"{pad}{head}")
+            lines += _render_text(item, indent + 1, rendered)
+        else:
+            lines.append(f"{pad}{head} {item}")
+    rendered[id(value), indent] = lines
     return lines
 
 
+# The CSV tables with one row per payload row: the payload fields that start
+# every row, then the fields of each row.
+_CSV_TABLES = {
+    "lattice": (("N",), ("n", "total", "brute", "recurrence", "closed_form")),
+    "verify": (("graph", "N"),
+               ("n", "walk", "tree", "lattice", "a_eq_b", "a_eq_c", "b_eq_c")),
+}
+
+
 def _csv_rows(command: str, payload: dict) -> tuple[list[str], list[list]]:
-    if command == "lattice":
-        header = ["N", "n", "total", "brute", "recurrence", "closed_form"]
-        rows = [
-            [payload["N"], r["n"], r["total"], r["brute"], r["recurrence"],
-             r["closed_form"]]
-            for r in payload["rows"]
-        ]
-        return header, rows
-    if command == "verify":
-        header = ["graph", "N", "n", "walk", "tree", "lattice",
-                  "a_eq_b", "a_eq_c", "b_eq_c"]
-        rows = [
-            [payload["graph"], payload["N"], r["n"], r["walk"], r["tree"],
-             r["lattice"], r["a_eq_b"], r["a_eq_c"], r["b_eq_c"]]
-            for r in payload["rows"]
-        ]
-        return header, rows
+    if command in _CSV_TABLES:
+        leading, fields = _CSV_TABLES[command]
+        start = [payload[field] for field in leading]
+        rows = [start + [r[field] for field in fields] for r in payload["rows"]]
+        return [*leading, *fields], rows
     if command == "moments":
         header = ["graph", "n", "vertex", "count", "scalar"]
         rows = []
@@ -528,10 +502,16 @@ def json_text(value, *, ensure_ascii: bool = False) -> str:
     return buffer.getvalue()
 
 
-def _render(command: str, report: dict, fmt: str) -> str:
+def _envelope(command: str, **fields) -> dict:
+    """A JSON report: the schema version and the command, then `fields`."""
+    return {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+
+
+def _render(command: str, payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json_text(report)
-    payload = report.get("payload", report)
+        # `gen` writes the bare graph schema, so its output loads as a graph.
+        return json_text(payload if command == "gen"
+                         else _envelope(command, payload=payload, warnings=[]))
     if fmt == "csv":
         header, rows = _csv_rows(command, payload)
         buffer = io.StringIO()
@@ -558,18 +538,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         try:
-            payload, wrap = _HANDLERS[args.command](args)
-            report = payload
-            if wrap:
-                report = {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": args.command,
-                    "payload": payload,
-                    "warnings": [],
-                }
+            payload = args.handler(args)
             # Render in full before writing, so a failed render leaves no
             # partial output.
-            _emit(args, _render(args.command, report, args.format))
+            _emit(args, _render(args.command, payload, args.format))
         except OSError as exc:
             raise GraphError(f"cannot read or write file: {exc}") from exc
         except RecursionError:
@@ -584,13 +556,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             code = 2
         if args.format == "json":
-            error_report = {
-                "schema_version": SCHEMA_VERSION,
-                "command": args.command,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-                "exit_code": code,
-            }
-            sys.stdout.write(json_text(error_report, ensure_ascii=True))
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            report = _envelope(args.command, error=error, exit_code=code)
+            sys.stdout.write(json_text(report, ensure_ascii=True))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return code

@@ -213,25 +213,31 @@ def word_tree(
     }
     units = {v: i for i, v in enumerate(graph.vertices)}
     words = [vertex_word(graph, v) for v in graph.vertices]
-    level = [(arc,) for arc in sorted(shadowed.arcs, key=token)] if max_len else []
-    parents = [units[letters[0].source] for letters in level]
-    while level:
-        if len(words) + len(level) > max_words:
+    parents, level = [], []
+    for length in range(1, max_len + 1):
+        # The budget is checked before the level is built.
+        size = (len(shadowed.arcs) if length == 1
+                else sum(len(follows[id(letters[-1])]) for letters in level))
+        if not size:
+            break
+        if len(words) + size > max_words:
             raise LimitError(
                 f"word enumeration exceeded the {max_words}-word budget "
-                f"at length {len(level[0])}"
+                f"at length {length}"
             )
+        if length == 1:
+            level = [(arc,) for arc in sorted(shadowed.arcs, key=token)]
+            parents = [units[letters[0].source] for letters in level]
+        else:
+            # Parents in sorted order, each extended by arcs in token order:
+            # the next level comes out sorted too.
+            nxt = []
+            for parent, letters in enumerate(level, len(words) - len(level)):
+                for arc in follows[id(letters[-1])]:
+                    nxt.append(letters + (arc,))
+                    parents.append(parent)
+            level = nxt
         words.extend(_trusted_word(graph, None, letters) for letters in level)
-        if len(level[0]) == max_len:
-            break
-        # Parents in sorted order, each extended by arcs in token order: the
-        # next level comes out sorted too.
-        nxt = []
-        for parent, letters in enumerate(level, len(words) - len(level)):
-            for arc in follows[id(letters[-1])]:
-                nxt.append(letters + (arc,))
-                parents.append(parent)
-        level = nxt
     return words, parents
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -184,6 +185,19 @@ def test_enumerate_budget():
     with pytest.raises(LimitError):
         enumerate_words(shadow(O2), 8, max_words=100)
 
+
+def test_enumerate_budget_is_checked_before_the_level_is_built():
+    # 700 shadow arcs into the hub, each with 699 continuations: the second
+    # level would hold 489,300 words (about 40 MB).
+    shadowed = shadow(family("star", 700))
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitError, match="5000-word budget at length 2"):
+            enumerate_words(shadowed, 3, max_words=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 def test_product_nonempty_iff_composable():
     words = [w for w in enumerate_words(shadow(K2), 2) if not w.is_empty]
