@@ -12,11 +12,11 @@ trees) and does not qualify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DisconnectedGraphError,
+    Frozen,
     LimitError,
     NotFractalError,
     ParameterError,
@@ -79,15 +79,13 @@ def fractal_pair(graph: DirectedGraph) -> FractalPair:
     return FractalPair(n, len(graph.vertices))
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     vertex: str
     arc: SignedEdge | None
-    children: tuple["TreeNode", ...]
+    children: tuple[TreeNode, ...]
 
 
-@dataclass(frozen=True)
-class VertexTree:
+class VertexTree(NamedTuple):
     """Depth-bounded unfolding of the shadowed graph from a root vertex.
 
     Each node labeled u has one child per shadowed out-arc of u; the same
@@ -187,17 +185,23 @@ def tree_isomorphic(t1: VertexTree, t2: VertexTree) -> bool:
     return _canonical_shape(t1.root, shapes) == _canonical_shape(t2.root, shapes)
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(Frozen):
     """Spectral-class partition of a graph corpus.
 
     `classes` maps each fractal pair to the accepted graph names in input
     order; `rejected` lists (name, reason) for graphs that are disconnected
-    or fail the degree characterization.
+    or fail the degree characterization. Both default to new empty ones.
     """
 
-    classes: dict[FractalPair, list[str]] = field(default_factory=dict)
-    rejected: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = _fields = ("classes", "rejected")
+
+    def __init__(
+        self,
+        classes: dict[FractalPair, list[str]] | None = None,
+        rejected: list[tuple[str, str]] | None = None,
+    ) -> None:
+        self._set(classes={} if classes is None else classes,
+                  rejected=[] if rejected is None else rejected)
 
 
 def classify(graphs: Iterable[DirectedGraph]) -> ClassificationResult:

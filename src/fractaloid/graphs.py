@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import GraphError, ParameterError, UnknownVertexError
+from .errors import Frozen, GraphError, ParameterError, UnknownVertexError
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     """A directed edge `src -> dst` with a graph-unique id."""
 
     id: str
@@ -41,8 +39,7 @@ def _check_token(token: str, role: str) -> None:
         raise GraphError(f"{role} must be a nonempty string, got {token!r}")
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
+class DirectedGraph(Frozen):
     """A finite directed multigraph.
 
     Invariants enforced at construction: vertex ids are unique, edge ids are
@@ -50,41 +47,35 @@ class DirectedGraph:
     sets are disjoint, and no edge id is another edge id plus `~` (the
     token of that edge's shadow). Declaration order of vertices and edges
     is preserved and significant for serialization and derived labelings.
+    `_out`, `_in` and `_edge_by_id` are derived, and left out of equality
+    and repr.
     """
 
-    name: str
-    vertices: tuple[str, ...]
-    edges: tuple[EdgeRecord, ...]
-    _out: dict[str, tuple[EdgeRecord, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _in: dict[str, tuple[EdgeRecord, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _edge_by_id: dict[str, EdgeRecord] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    __slots__ = ("name", "vertices", "edges", "_out", "_in", "_edge_by_id")
+    _fields = ("name", "vertices", "edges")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, name: str, vertices: tuple[str, ...], edges: tuple[EdgeRecord, ...]
+    ) -> None:
         outgoing: dict[str, list[EdgeRecord]] = {}
-        for v in self.vertices:
+        for v in vertices:
             _check_token(v, "vertex id")
             if v in outgoing:
-                raise GraphError(f"duplicate vertex id {v!r} in graph {self.name!r}")
+                raise GraphError(f"duplicate vertex id {v!r} in graph {name!r}")
             outgoing[v] = []
         incoming: dict[str, list[EdgeRecord]] = {v: [] for v in outgoing}
         edge_by_id: dict[str, EdgeRecord] = {}
-        for e in self.edges:
+        for e in edges:
             edge_id = e.id
             _check_token(edge_id, "edge id")
             if edge_id in edge_by_id:
                 raise GraphError(
-                    f"duplicate edge id {edge_id!r} in graph {self.name!r}"
+                    f"duplicate edge id {edge_id!r} in graph {name!r}"
                 )
             if edge_id in outgoing:
                 raise GraphError(
                     f"edge id {edge_id!r} collides with a vertex id "
-                    f"in graph {self.name!r}"
+                    f"in graph {name!r}"
                 )
             sources = outgoing.get(e.src)
             if sources is None:
@@ -100,11 +91,13 @@ class DirectedGraph:
             if edge_id[-1] == "~" and edge_id[:-1] in edge_by_id:
                 raise GraphError(
                     f"edge id {edge_id!r} collides with the shadow of edge "
-                    f"{edge_id[:-1]!r} in graph {self.name!r}"
+                    f"{edge_id[:-1]!r} in graph {name!r}"
                 )
-        object.__setattr__(self, "_out", {v: tuple(es) for v, es in outgoing.items()})
-        object.__setattr__(self, "_in", {v: tuple(es) for v, es in incoming.items()})
-        object.__setattr__(self, "_edge_by_id", edge_by_id)
+        self._set(
+            name=name, vertices=vertices, edges=edges, _edge_by_id=edge_by_id,
+            _out={v: tuple(es) for v, es in outgoing.items()},
+            _in={v: tuple(es) for v, es in incoming.items()},
+        )
 
     def contains_edge(self, edge: EdgeRecord) -> bool:
         return self._edge_by_id.get(edge.id) == edge
@@ -137,8 +130,7 @@ def degrees(graph: DirectedGraph, v: str) -> VertexDegrees:
     return graph.degrees(v)
 
 
-@dataclass(frozen=True)
-class SignedEdge:
+class SignedEdge(NamedTuple):
     """An edge of the shadowed graph: a base edge traversed forward, or its
     shadow (the same edge traversed backward)."""
 
@@ -162,24 +154,19 @@ class SignedEdge:
         return SignedEdge(self.edge, not self.inverted)
 
 
-@dataclass(frozen=True)
-class ShadowedGraph:
+class ShadowedGraph(Frozen):
     """A graph together with its shadow: one forward and one inverted arc per
     base edge, so every vertex gains its in-edges as extra out-arcs."""
 
-    base: DirectedGraph
-    arcs: tuple[SignedEdge, ...]
-    _arcs_from: dict[str, tuple[SignedEdge, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    __slots__ = ("base", "arcs", "_arcs_from")
+    _fields = ("base", "arcs")
 
-    def __post_init__(self) -> None:
-        table: dict[str, list[SignedEdge]] = {v: [] for v in self.base.vertices}
-        for arc in self.arcs:
+    def __init__(self, base: DirectedGraph, arcs: tuple[SignedEdge, ...]) -> None:
+        table: dict[str, list[SignedEdge]] = {v: [] for v in base.vertices}
+        for arc in arcs:
             table[arc.source].append(arc)
-        object.__setattr__(
-            self, "_arcs_from", {v: tuple(a) for v, a in table.items()}
-        )
+        self._set(base=base, arcs=arcs,
+                  _arcs_from={v: tuple(a) for v, a in table.items()})
 
     def arcs_from(self, v: str) -> tuple[SignedEdge, ...]:
         if v not in self._arcs_from:

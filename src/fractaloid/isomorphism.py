@@ -8,22 +8,22 @@ the search-node budget make failure explicit instead of silently degrading.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .errors import LimitError
+from .errors import Frozen, LimitError
 from .graphs import DirectedGraph
 
 DEFAULT_MAX_VERTICES = 12
 DEFAULT_MAX_SEARCH_NODES = 500_000
 
 
-@dataclass(frozen=True)
-class GraphMatch:
+class GraphMatch(Frozen):
     """A witness isomorphism: vertex and edge bijections preserving sources
     and targets."""
 
-    vertex_map: dict[str, str]
-    edge_map: dict[str, str]
+    __slots__ = _fields = ("vertex_map", "edge_map")
+
+    def __init__(self, vertex_map: dict[str, str], edge_map: dict[str, str]) -> None:
+        self._set(vertex_map=vertex_map, edge_map=edge_map)
 
 
 def _profile(graph: DirectedGraph, v: str) -> tuple[int, int, int]:

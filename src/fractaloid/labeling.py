@@ -11,8 +11,7 @@ deterministic on fractal graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import FractaloidError, GraphError, ParameterError
 from .fractality import _first_degree_defect, max_out_degree
@@ -20,8 +19,7 @@ from .graphs import DirectedGraph, EdgeRecord, ShadowedGraph, SignedEdge, shadow
 from .lattice import LatticePath
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     """Index assignment edge-id -> 1..degree_bound; shadows are negated."""
 
     graph: DirectedGraph
@@ -126,8 +124,7 @@ def label_walk(labeling: Labeling, walk: Sequence[SignedEdge]) -> LatticePath:
     )
 
 
-@dataclass(frozen=True)
-class GraphAutomaton:
+class GraphAutomaton(NamedTuple):
     """Letter automaton of a labeled graph: states are the shadowed arcs plus
     a sink, inputs are the signed indices plus an empty letter (None)."""
 

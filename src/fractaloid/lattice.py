@@ -14,30 +14,29 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
+from typing import NamedTuple
 
-from .errors import LimitError, ParameterError
+from .errors import Frozen, LimitError, ParameterError
 
 DEFAULT_MAX_PATHS = 10_000_000
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(Frozen):
     """A finite sequence of steps +-k with 1 <= |k| <= step_bound."""
 
-    steps: tuple[int, ...]
-    step_bound: int
+    __slots__ = _fields = ("steps", "step_bound")
 
-    def __post_init__(self) -> None:
-        if self.step_bound < 0:
-            raise ParameterError(f"step bound must be >= 0, got {self.step_bound}")
-        for s in self.steps:
-            if not isinstance(s, int) or s == 0 or abs(s) > self.step_bound:
+    def __init__(self, steps: tuple[int, ...], step_bound: int) -> None:
+        if step_bound < 0:
+            raise ParameterError(f"step bound must be >= 0, got {step_bound}")
+        for s in steps:
+            if not isinstance(s, int) or s == 0 or abs(s) > step_bound:
                 raise ParameterError(
-                    f"step {s!r} outside the range +-1..+-{self.step_bound}"
+                    f"step {s!r} outside the range +-1..+-{step_bound}"
                 )
+        self._set(steps=steps, step_bound=step_bound)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -132,8 +131,7 @@ def tuple_coefficient(values: tuple[int, ...]) -> int:
     return coefficient
 
 
-@dataclass(frozen=True)
-class BalancedTupleClass:
+class BalancedTupleClass(NamedTuple):
     """A sorted step multiset with per-exponent balance, together with the
     number of axis paths spelling it in some order."""
 

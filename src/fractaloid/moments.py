@@ -12,10 +12,10 @@ one left-to-right count is canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .errors import FractaloidError, LimitError, ParameterError
+from .errors import FractaloidError, Frozen, LimitError, ParameterError
 from .fractality import fractal_pair
 from .graphs import DirectedGraph, shadow
 from .lattice import axis_path_counts
@@ -24,8 +24,7 @@ from .words import ReducedWord, word_tree
 DEFAULT_MAX_STATES = 1_000_000
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(NamedTuple):
     """Per-vertex moment counts of one order; keys are exactly the vertex
     set of the originating graph."""
 
@@ -146,8 +145,7 @@ def identically_distributed(
     return profile(g1) == profile(g2)
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
+class TruncatedOperator(Frozen):
     """The radial operator restricted to the reduced words of length <= depth
     (vertex units included). A closed walk of length n stays within n / 2 of
     its start, so power diagonals are exact for exponents <= 2 * depth + 1.
@@ -156,10 +154,18 @@ class TruncatedOperator:
     `power_diagonal` finds a unit by its vertex's position; `index`, the
     position of every basis word, is built only when read."""
 
-    graph: DirectedGraph
-    depth: int
-    basis: list[ReducedWord]
-    columns: list[dict[int, int]]
+    _fields = ("graph", "depth", "basis", "columns")
+    # The instance dict holds what `cached_property` computes.
+    __slots__ = _fields + ("__dict__",)
+
+    def __init__(
+        self,
+        graph: DirectedGraph,
+        depth: int,
+        basis: list[ReducedWord],
+        columns: list[dict[int, int]],
+    ) -> None:
+        self._set(graph=graph, depth=depth, basis=basis, columns=columns)
 
     @cached_property
     def index(self) -> dict[ReducedWord, int]:
@@ -205,8 +211,7 @@ def truncated_radial_matrix(
     return TruncatedOperator(graph, depth, basis, columns)
 
 
-@dataclass
-class MomentComparisonRow:
+class MomentComparisonRow(NamedTuple):
     """One order of the three-way comparison: first-return moment (`walk`),
     2N-regular tree return count, and axis-path count."""
 
@@ -228,8 +233,7 @@ class MomentComparisonRow:
         return self.tree == self.lattice
 
 
-@dataclass
-class MomentComparisonReport:
+class MomentComparisonReport(NamedTuple):
     graph_name: str
     degree: int
     rows: list[MomentComparisonRow]

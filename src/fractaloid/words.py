@@ -13,18 +13,16 @@ stack of `reduce_word` and the word basis of `word_tree` all use it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import GraphError, LimitError, ParameterError
+from .errors import Frozen, GraphError, LimitError, ParameterError
 from .graphs import DirectedGraph, EdgeRecord, ShadowedGraph, SignedEdge
 
 DEFAULT_MAX_WORDS = 1_000_000
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(Frozen):
     """A reduced element of the graph groupoid.
 
     Exactly one of three shapes: empty (vertex is None, no letters), a vertex
@@ -33,19 +31,23 @@ class ReducedWord:
     reject cross-graph products.
     """
 
-    graph: DirectedGraph = field(compare=False)
-    vertex: str | None = None
-    letters: tuple[SignedEdge, ...] = ()
+    __slots__ = _fields = ("graph", "vertex", "letters")
+    _compared = ("vertex", "letters")
 
-    def __post_init__(self) -> None:
-        if self.vertex is not None and self.letters:
+    def __init__(
+        self,
+        graph: DirectedGraph,
+        vertex: str | None = None,
+        letters: tuple[SignedEdge, ...] = (),
+    ) -> None:
+        if vertex is not None and letters:
             raise GraphError("a word is a vertex or a path, not both")
-        if self.vertex is not None:
-            self.graph.require_vertex(self.vertex)
-        for i, arc in enumerate(self.letters):
-            _require_letter(self.graph, arc)
+        if vertex is not None:
+            graph.require_vertex(vertex)
+        for i, arc in enumerate(letters):
+            _require_letter(graph, arc)
             if i > 0:
-                prev = self.letters[i - 1]
+                prev = letters[i - 1]
                 if prev.target != arc.source:
                     raise GraphError(
                         f"letters {prev.token!r}.{arc.token!r} are not admissible"
@@ -54,6 +56,7 @@ class ReducedWord:
                     raise GraphError(
                         f"letters {prev.token!r}.{arc.token!r} are not reduced"
                     )
+        self._set(graph=graph, vertex=vertex, letters=letters)
 
     @property
     def is_empty(self) -> bool:

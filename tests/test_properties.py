@@ -5,11 +5,13 @@ import contextlib
 import io
 import itertools
 import json
+import os
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from fractaloid import (
     DirectedGraph,
@@ -24,13 +26,17 @@ from fractaloid import (
     count_axis_paths_bruteforce,
     empty_word,
     enumerate_words,
+    family,
     fractal_pair,
     graph_to_json,
     identically_distributed,
     inverse,
+    iterated_glue_loops,
     multiply,
     radial_moments,
     reduce_word,
+    regularize,
+    save_graph,
     shadow,
     source_range,
     tree_isomorphic,
@@ -41,7 +47,7 @@ from fractaloid import (
     vertex_word,
 )
 from fractaloid.cli import _render_text, _tree_to_json, json_text, main
-from fractaloid.fractality import TreeNode, VertexTree
+from fractaloid.fractality import DEFAULT_MAX_TREE_NODES, TreeNode, VertexTree
 
 # Moments up to order 4 depend on vertex degrees alone; order 6 is the first
 # that sees how the arcs of the cover fit together. A closed walk of length n
@@ -440,3 +446,113 @@ def test_cli_never_raises(tmp_path, data):
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
+
+
+# Budget fuzz: jobs on larger families with budgets drawn next to what the
+# job needs, so that both sides of every budget check are reached.
+_BUDGET_GRAPHS = {
+    "R3(K8)": lambda: regularize(family("circulant", 8), 3),
+    "C4": lambda: family("complete", 4),
+    "O5": lambda: family("loops", 5),
+    "K3#O2": lambda: iterated_glue_loops(family("circulant", 3), 2),
+    "R2(K13)": lambda: regularize(family("circulant", 13), 2),
+    "T6_1": lambda: family("star", 6),
+    "P9": lambda: family("path", 9),
+}
+_FRACTAL = ["R3(K8)", "C4", "O5", "K3#O2", "R2(K13)"]
+
+
+def _unfolded_tree_depth(graph, root, max_nodes):
+    """The least depth whose unfolded vertex tree has over `max_nodes` nodes."""
+    shadowed = shadow(graph)
+    level, count, depth = {root: 1}, 1, 0
+    while count <= max_nodes:
+        below = {}
+        for u, nodes in level.items():
+            for a in shadowed.arcs_from(u):
+                below[a.target] = below.get(a.target, 0) + nodes
+        level, count, depth = below, count + sum(below.values()), depth + 1
+    return depth
+
+
+def _budget_job(draw, tmp_path):
+    """Arguments of one job and its budget in the environment (or None)."""
+
+    def graph_file(names):
+        name = draw(st.sampled_from(names))
+        graph = _BUDGET_GRAPHS[name]()
+        path = tmp_path / f"{name}.json"
+        save_graph(graph, path)
+        return graph, str(path)
+
+    def near(need):
+        return max(1, need + draw(st.sampled_from([-2, -1, 0, 1, 2])))
+
+    command = draw(st.sampled_from(
+        ["moments", "verify", "compare", "matrix", "lattice", "tree"]))
+    if command == "lattice":
+        n_bound = draw(st.integers(min_value=1, max_value=3))
+        # Lengths whose (2N)^n paths stay within the default budget.
+        top = {1: 23, 2: 11, 3: 8}[n_bound]
+        max_n = draw(st.integers(min_value=0, max_value=top))
+        length = draw(st.integers(min_value=0, max_value=max_n))
+        method = draw(st.sampled_from([[], ["--method", "brute"]]))
+        budget = near((2 * n_bound) ** length)
+        return ["lattice", "--N", str(n_bound), "--max-n", str(max_n), *method,
+                "--max-paths", str(budget)], None
+    if command == "tree":
+        if draw(st.booleans()):
+            # A path-shaped tree near the depth the writers can nest.
+            star = tmp_path / "T1_1.json"
+            save_graph(family("star", 1), star)
+            depth = draw(st.integers(min_value=400, max_value=520))
+            return ["tree", str(star), "--root", "v1", "--depth", str(depth)], None
+        graph, path = graph_file(list(_BUDGET_GRAPHS))
+        root = draw(st.sampled_from(graph.vertices))
+        first = _unfolded_tree_depth(graph, root, DEFAULT_MAX_TREE_NODES)
+        depth = draw(st.sampled_from([first, first + 1, first + 2, 10**6]))
+        return ["tree", path, "--root", root, "--depth", str(depth)], None
+    if command == "compare":
+        (g1, p1), (g2, p2) = graph_file(list(_BUDGET_GRAPHS)), graph_file(
+            list(_BUDGET_GRAPHS))
+        max_n = draw(st.integers(min_value=1, max_value=12))
+        need = max(2 * len(g.edges) for g in (g1, g2)) * (max_n // 2 + 1)
+        argv = ["compare", p1, p2, "--max-n", str(max_n)]
+    elif command == "matrix":
+        graph, path = graph_file(list(_BUDGET_GRAPHS))
+        depth = draw(st.integers(min_value=0, max_value=4))
+        need = len(enumerate_words(shadow(graph), depth, max_words=10**6))
+        argv = ["matrix", path, "--depth", str(depth)]
+    else:
+        names = _FRACTAL if command == "verify" else list(_BUDGET_GRAPHS)
+        graph, path = graph_file(names)
+        max_n = draw(st.integers(min_value=1, max_value=16))
+        need = 2 * len(graph.edges) * (max_n // 2 + 1)
+        argv = [command, path, "--max-n", str(max_n)]
+    budget = near(need)
+    if draw(st.booleans()):
+        return argv + ["--max-states", str(budget)], None
+    return argv, str(budget)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_budget_errors_are_clean_reports(tmp_path, data):
+    argv, env_budget = _budget_job(data.draw, tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("FRACTALOID_MAX_STATES", None)
+        if env_budget is not None:
+            os.environ["FRACTALOID_MAX_STATES"] = env_budget
+        code = main(argv)
+    assert code in (0, 3), (argv, env_budget, out.getvalue()[:500])
+    event(f"{argv[0]} exits {code}")
+    report = json.loads(out.getvalue())
+    if code == 3:
+        assert report["error"]["type"] == "LimitError", argv
+        assert report["exit_code"] == 3
+        assert err.getvalue() == "", argv
+    else:
+        assert "payload" in report and err.getvalue() == ""

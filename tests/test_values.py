@@ -52,6 +52,9 @@ VALUES = [
     ("BalancedTupleClass", lambda: balanced_tuple_classes(2, 4)[1], "coefficient",
      False),
     ("MomentVector", lambda: radial_moment(K3, 4), "n", False),
+    ("MomentComparisonReport", lambda: verify_moment_theorem(K3, 4), "rows", False),
+    ("MomentComparisonRow", lambda: verify_moment_theorem(K3, 4).rows[3], "walk",
+     False),
     ("FractalPair", lambda: fractal_pair(K3), "n_zero", False),
     ("VertexDegrees", lambda: K3.degrees("v1"), "total", False),
     ("DirectedGraph", lambda: K3, "name", True),
@@ -66,18 +69,10 @@ VALUES = [
      "classes", True),
 ]
 
-# Values whose copies are also checked field by field below.
-COPIES = VALUES + [
-    ("MomentComparisonReport", lambda: verify_moment_theorem(K3, 4), None, None),
-    ("MomentComparisonRow", lambda: verify_moment_theorem(K3, 4).rows[3], None,
-     None),
-]
-
 IDS = [name for name, *_ in VALUES]
-COPY_IDS = [name for name, *_ in COPIES]
 
 
-@pytest.mark.parametrize("name, make, field, frozen", COPIES, ids=COPY_IDS)
+@pytest.mark.parametrize("name, make, field, frozen", VALUES, ids=IDS)
 @pytest.mark.parametrize("duplicate", [
     lambda value: pickle.loads(pickle.dumps(value)),
     copy.deepcopy,
@@ -142,6 +137,11 @@ def test_graph_repr_leaves_out_the_derived_tables():
     for table in ("_out", "_in", "_edge_by_id"):
         assert table not in repr(graph)
         assert hasattr(graph, table)
+    match graph:
+        case DirectedGraph(name, vertices, edges):
+            assert (name, vertices, edges) == ("P2", graph.vertices, graph.edges)
+        case _:
+            pytest.fail("positional pattern did not match")
 
 
 def test_edge_reprs():
@@ -176,3 +176,22 @@ def test_classification_result_defaults():
     assert ClassificationResult().classes is not result.classes
     assert ClassificationResult().rejected is not result.rejected
     assert ClassificationResult() == result
+
+
+@pytest.mark.parametrize("name, make, field, frozen",
+                         [v for v in VALUES if not v[3]],
+                         ids=[v[0] for v in VALUES if not v[3]])
+def test_plain_records_are_named_tuples(name, make, field, frozen):
+    # They unpack, index, and compare equal to the plain tuple of their fields.
+    value = make()
+    assert isinstance(value, tuple)
+    assert value == tuple(value)
+    assert getattr(value, field) == value[value._fields.index(field)]
+
+
+def test_edge_records_unpack():
+    edge_id, src, dst = K3.edges[0]
+    assert (edge_id, src, dst) == ("e1", "v1", "v2")
+    assert hash(K3.edges[0]) == hash(("e1", "v1", "v2"))
+    edge, inverted = shadow(K3).arcs[-1]
+    assert edge == K3.edges[-1] and inverted is True
