@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -135,3 +137,51 @@ def test_search_node_limit():
     g = family("complete", 6)
     with pytest.raises(LimitError):
         graph_isomorphic(g, g, max_search_nodes=2)
+
+
+def _brute_force_isomorphic(g1, g2):
+    # Some vertex bijection maps g1's (src, dst) multiset onto g2's.
+    if len(g1.vertices) != len(g2.vertices):
+        return False
+    target = Counter((e.src, e.dst) for e in g2.edges)
+    for image in itertools.permutations(g2.vertices):
+        rename = dict(zip(g1.vertices, image))
+        if Counter((rename[e.src], rename[e.dst]) for e in g1.edges) == target:
+            return True
+    return False
+
+
+def _random_multigraph(rng, name, vertices, n_edges):
+    # Endpoints drawn from a few pairs, so loops and parallel edges are common.
+    pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(3)]
+    return DirectedGraph(name, vertices, tuple(
+        EdgeRecord(f"e{j}", *rng.choice(pairs + [(rng.choice(vertices),
+                                                   rng.choice(vertices))]))
+        for j in range(n_edges)
+    ))
+
+
+def test_random_pairs_match_brute_force_oracle():
+    rng = random.Random(2009)
+    for trial in range(400):
+        vertices = tuple(f"v{i}" for i in range(rng.randint(1, 5)))
+        g1 = _random_multigraph(rng, "g1", vertices, rng.randint(0, 8))
+        if trial % 2:
+            g2 = _random_multigraph(rng, "g2", vertices, len(g1.edges))
+        else:
+            perm = list(vertices)
+            rng.shuffle(perm)
+            rename = dict(zip(vertices, perm))
+            edges = [EdgeRecord(f"f{j}", rename[e.src], rename[e.dst])
+                     for j, e in enumerate(g1.edges)]
+            rng.shuffle(edges)
+            if edges and trial % 4 == 2:
+                # Move one edge to a random pair of endpoints.
+                j = rng.randrange(len(edges))
+                edges[j] = EdgeRecord(edges[j].id, rng.choice(vertices),
+                                      rng.choice(vertices))
+            g2 = DirectedGraph("g2", tuple(perm), tuple(edges))
+        match = graph_isomorphic(g1, g2)
+        assert (match is not None) == _brute_force_isomorphic(g1, g2), trial
+        if match is not None:
+            _apply_witness(g1, g2, match)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -93,6 +94,15 @@ def test_label_walk_rejects_inadmissible():
     lab = canonical_labeling(K3)
     with pytest.raises(GraphError):
         label_walk(lab, [arc(K3, "e1"), arc(K3, "e3")])
+
+
+def test_label_walk_reports_the_first_fault_from_the_left():
+    lab = canonical_labeling(K3)
+    foreign = SignedEdge(EdgeRecord("zz", "v1", "v1"))
+    with pytest.raises(GraphError, match=re.escape("walk is inadmissible at 'e1'.'e3'")):
+        label_walk(lab, [arc(K3, "e1"), arc(K3, "e3"), foreign])
+    with pytest.raises(GraphError, match=re.escape("arc 'zz' does not belong to graph 'K3'")):
+        label_walk(lab, [foreign, arc(K3, "e1")])
 
 
 def test_fully_cancelling_walks_are_balanced():
