@@ -169,8 +169,7 @@ class ShadowedGraph(Frozen):
                   _arcs_from={v: tuple(a) for v, a in table.items()})
 
     def arcs_from(self, v: str) -> tuple[SignedEdge, ...]:
-        if v not in self._arcs_from:
-            raise UnknownVertexError(f"vertex {v!r} not in graph {self.base.name!r}")
+        self.base.require_vertex(v)
         return self._arcs_from[v]
 
     def as_graph(self) -> DirectedGraph:
@@ -224,14 +223,13 @@ def family(kind: str, n: int) -> DirectedGraph:
         return DirectedGraph(
             f"O{n}", (v,), tuple(EdgeRecord(f"e{j}", v, v) for j in range(1, n + 1))
         )
+    vs = tuple(f"v{j}" for j in range(1, n + 1))
     if kind == "circulant":
-        vs = tuple(f"v{j}" for j in range(1, n + 1))
         es = tuple(
             EdgeRecord(f"e{j}", f"v{j}", f"v{j % n + 1}") for j in range(1, n + 1)
         )
         return DirectedGraph(f"K{n}", vs, es)
     if kind == "complete":
-        vs = tuple(f"v{j}" for j in range(1, n + 1))
         es = tuple(
             EdgeRecord(f"e{i}_{j}", f"v{i}", f"v{j}")
             for i in range(1, n + 1)
@@ -240,13 +238,12 @@ def family(kind: str, n: int) -> DirectedGraph:
         )
         return DirectedGraph(f"C{n}", vs, es)
     if kind == "path":
-        vs = tuple(f"v{j}" for j in range(1, n + 1))
         es = tuple(
             EdgeRecord(f"e{j}", f"v{j}", f"v{j + 1}") for j in range(1, n)
         )
         return DirectedGraph(f"P{n}", vs, es)
-    # star
-    vs = ("v1",) + tuple(f"v{j}" for j in range(2, n + 2))
+    # star: the root v1 and leaves v2..v(n+1)
+    vs += (f"v{n + 1}",)
     es = tuple(EdgeRecord(f"e{j}", "v1", f"v{j + 1}") for j in range(1, n + 1))
     return DirectedGraph(f"T{n}_1", vs, es)
 

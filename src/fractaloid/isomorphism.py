@@ -26,12 +26,6 @@ class GraphMatch(Frozen):
         self._set(vertex_map=vertex_map, edge_map=edge_map)
 
 
-def _profile(graph: DirectedGraph, v: str) -> tuple[int, int, int]:
-    out, inc, _ = graph.degrees(v)
-    loops = sum(1 for e in graph.out_edges(v) if e.is_loop)
-    return (out, inc, loops)
-
-
 def graph_isomorphic(
     g1: DirectedGraph,
     g2: DirectedGraph,
@@ -51,13 +45,13 @@ def graph_isomorphic(
         )
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
-    profiles1 = {v: _profile(g1, v) for v in g1.vertices}
-    profiles2 = {v: _profile(g2, v) for v in g2.vertices}
-    if Counter(profiles1.values()) != Counter(profiles2.values()):
-        return None
-
     mult1 = g1.edge_multiplicities()
     mult2 = g2.edge_multiplicities()
+    # A vertex's profile: out-degree, in-degree and loop count.
+    profiles1 = {v: (*g1.degrees(v)[:2], mult1[v, v]) for v in g1.vertices}
+    profiles2 = {v: (*g2.degrees(v)[:2], mult2[v, v]) for v in g2.vertices}
+    if Counter(profiles1.values()) != Counter(profiles2.values()):
+        return None
     if Counter(mult1.values()) != Counter(mult2.values()):
         return None
 
@@ -82,8 +76,6 @@ def graph_isomorphic(
         u = order[idx]
         for v in candidates[u]:
             if v in used:
-                continue
-            if mult1[(u, u)] != mult2[(v, v)]:
                 continue
             ok = True
             for w, mw in mapping.items():

@@ -108,20 +108,14 @@ def canonical_labeling(graph: DirectedGraph) -> Labeling:
 def label_walk(labeling: Labeling, walk: Sequence[SignedEdge]) -> LatticePath:
     """Project an admissible arc walk to its lattice path: forward arcs step
     by +label, shadows by -label."""
-    walk = tuple(walk)
-    for i, arc in enumerate(walk):
-        if not labeling.graph.contains_edge(arc.edge):
-            raise GraphError(
-                f"arc {arc.token!r} does not belong to graph "
-                f"{labeling.graph.name!r}"
-            )
-        if i > 0 and walk[i - 1].target != arc.source:
-            raise GraphError(
-                f"walk is inadmissible at {walk[i - 1].token!r}.{arc.token!r}"
-            )
-    return LatticePath(
-        tuple(labeling.label_of(arc) for arc in walk), labeling.degree_bound
-    )
+    steps: list[int] = []
+    prev = None
+    for arc in walk:
+        steps.append(labeling.label_of(arc))
+        if prev is not None and prev.target != arc.source:
+            raise GraphError(f"walk is inadmissible at {prev.token!r}.{arc.token!r}")
+        prev = arc
+    return LatticePath(tuple(steps), labeling.degree_bound)
 
 
 class GraphAutomaton(NamedTuple):

@@ -171,10 +171,6 @@ class TruncatedOperator(Frozen):
     def index(self) -> dict[ReducedWord, int]:
         return {word: i for i, word in enumerate(self.basis)}
 
-    @cached_property
-    def _units(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.graph.vertices)}
-
     def is_symmetric(self) -> bool:
         for col, entries in enumerate(self.columns):
             for row, value in entries.items():
@@ -187,7 +183,7 @@ class TruncatedOperator(Frozen):
         if n < 0:
             raise ParameterError(f"power must be >= 0, got {n}")
         self.graph.require_vertex(v)
-        start = self._units[v]
+        start = self.graph.vertices.index(v)
         vec = {start: 1}
         for _ in range(n):
             nxt: dict[int, int] = {}

@@ -208,10 +208,9 @@ def word_tree(
     graph = shadowed.base
     token = attrgetter("token")
     arcs_from = {v: sorted(shadowed.arcs_from(v), key=token) for v in graph.vertices}
-    # Each arc's continuations in token order, for words of 2+ letters. Keyed by
-    # identity: every letter here is one of `shadowed.arcs`, and ids hash fast.
+    # Each arc's continuations in token order, for words of 2+ letters.
     follows = {
-        id(a): [b for b in arcs_from[a.target] if not _cancels(a, b)]
+        a: [b for b in arcs_from[a.target] if not _cancels(a, b)]
         for a in (shadowed.arcs if max_len > 1 else ())
     }
     units = {v: i for i, v in enumerate(graph.vertices)}
@@ -220,7 +219,7 @@ def word_tree(
     for length in range(1, max_len + 1):
         # The budget is checked before the level is built.
         size = (len(shadowed.arcs) if length == 1
-                else sum(len(follows[id(letters[-1])]) for letters in level))
+                else sum(len(follows[letters[-1]]) for letters in level))
         if not size:
             break
         if len(words) + size > max_words:
@@ -236,7 +235,7 @@ def word_tree(
             # the next level comes out sorted too.
             nxt = []
             for parent, letters in enumerate(level, len(words) - len(level)):
-                for arc in follows[id(letters[-1])]:
+                for arc in follows[letters[-1]]:
                     nxt.append(letters + (arc,))
                     parents.append(parent)
             level = nxt
