@@ -235,13 +235,13 @@ def _cmd_lattice(args) -> dict:
         raise ParameterError("--max-paths must be >= 1")
     brute = args.method in (None, "brute")
     closed = args.method in (None, "closed") and args.n_bound in (1, 2)
-    recurrence = (axis_path_counts(args.n_bound, args.max_n)
-                  if args.method in (None, "recurrence") else None)
     if brute:
-        # The first length over the budget fails before any row is enumerated.
+        # The first length over the budget fails before any column is computed.
         for n in range(args.max_n + 1):
             if (2 * args.n_bound) ** n > args.max_paths:
                 count_axis_paths_bruteforce(args.n_bound, n, max_paths=args.max_paths)
+    recurrence = (axis_path_counts(args.n_bound, args.max_n)
+                  if args.method in (None, "recurrence") else None)
     rows = [{
         "n": n,
         "total": str((2 * args.n_bound) ** n),

@@ -248,9 +248,11 @@ def verify_moment_theorem(
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     pair = fractal_pair(graph)
+    # The budget is checked before the unbudgeted lattice column is built.
+    moments = radial_moments(graph, n_max, max_states=max_states)
     lattice = axis_path_counts(pair.n_zero, n_max)
     rows = []
-    for moment in radial_moments(graph, n_max, max_states=max_states):
+    for moment in moments:
         scalar = is_scalar(moment)
         if scalar is None:
             raise FractaloidError(

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,25 @@ def test_lattice_brute_force_fails_at_first_over_budget_length(capsys, monkeypat
     # there without enumerating any shorter length.
     assert requested == [20]
     assert "1048576 paths" in json.loads(stdout)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "@k3.json", "--max-n", "3000", "--max-states", "10"],
+    ["lattice", "--N", "1", "--max-n", "3000", "--max-paths", "10"],
+], ids=["verify", "lattice"])
+def test_budget_fails_before_any_unbudgeted_column(capsys, workdir, argv):
+    # The lattice column of a 3000-order table peaks near 0.5 MB; a job that
+    # fails at its budget check peaks under 0.1 MB.
+    argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "LimitError"
+    assert peak < 200_000
 
 
 def test_lattice_recurrence_needs_no_budget(capsys):
