@@ -99,9 +99,11 @@ def test_label_walk_rejects_inadmissible():
 def test_label_walk_reports_the_first_fault_from_the_left():
     lab = canonical_labeling(K3)
     foreign = SignedEdge(EdgeRecord("zz", "v1", "v1"))
-    with pytest.raises(GraphError, match=re.escape("walk is inadmissible at 'e1'.'e3'")):
+    inadmissible = re.escape("walk is inadmissible at 'e1'.'e3'")
+    with pytest.raises(GraphError, match=inadmissible):
         label_walk(lab, [arc(K3, "e1"), arc(K3, "e3"), foreign])
-    with pytest.raises(GraphError, match=re.escape("arc 'zz' does not belong to graph 'K3'")):
+    not_in_graph = re.escape("arc 'zz' does not belong to graph 'K3'")
+    with pytest.raises(GraphError, match=not_in_graph):
         label_walk(lab, [foreign, arc(K3, "e1")])
 
 
