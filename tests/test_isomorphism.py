@@ -185,3 +185,73 @@ def test_random_pairs_match_brute_force_oracle():
         assert (match is not None) == _brute_force_isomorphic(g1, g2), trial
         if match is not None:
             _apply_witness(g1, g2, match)
+
+
+def _cycles(name, *lengths):
+    # Disjoint directed cycles on v0, v1, ..., in the order given.
+    edges, start = [], 0
+    for length in lengths:
+        for i in range(length):
+            edges.append(EdgeRecord(f"e{len(edges)}", f"v{start + i}",
+                                    f"v{start + (i + 1) % length}"))
+        start += length
+    return DirectedGraph(name, tuple(f"v{i}" for i in range(start)), tuple(edges))
+
+
+# Every vertex of these pairs has the same profile and every edge
+# multiplicity is 1, so no invariant pre-check decides them: the search
+# has to extend, undo and exhaust partial mappings.
+
+def test_six_cycle_is_not_two_three_cycles():
+    assert graph_isomorphic(_cycles("C6", 6), _cycles("2C3", 3, 3)) is None
+    assert graph_isomorphic(_cycles("2C3", 3, 3), _cycles("C6", 6)) is None
+
+
+def test_cycle_unions_in_either_order_are_isomorphic():
+    g1, g2 = _cycles("C3+C6", 3, 6), _cycles("C6+C3", 6, 3)
+    match = graph_isomorphic(g1, g2)
+    assert match is not None
+    _apply_witness(g1, g2, match)
+
+
+def _permutation_union(rng, name, vertices):
+    # A 2-regular digraph: each vertex has one out-edge per random permutation.
+    pairs = []
+    for _ in range(2):
+        image = list(vertices)
+        rng.shuffle(image)
+        pairs += zip(vertices, image)
+    return DirectedGraph(name, vertices, tuple(
+        EdgeRecord(f"e{j}", v, w) for j, (v, w) in enumerate(pairs)))
+
+
+def _invariants(g):
+    # What the pre-checks compare: loop counts and edge multiplicities.
+    mult = g.edge_multiplicities()
+    return (Counter(mult[v, v] for v in g.vertices), Counter(mult.values()))
+
+
+def test_random_two_regular_pairs_match_brute_force_oracle():
+    # Odd trials redraw the second graph until the pre-checks cannot tell
+    # the pair apart; even trials relabel the first graph's vertices and
+    # shuffle its edges.
+    rng = random.Random(14)
+    vertices = tuple(f"v{i}" for i in range(6))
+    for trial in range(60):
+        g1 = _permutation_union(rng, "g1", vertices)
+        if trial % 2:
+            g2 = _permutation_union(rng, "g2", vertices)
+            while _invariants(g2) != _invariants(g1):
+                g2 = _permutation_union(rng, "g2", vertices)
+        else:
+            image = list(vertices)
+            rng.shuffle(image)
+            rename = dict(zip(vertices, image))
+            edges = [EdgeRecord(e.id, rename[e.src], rename[e.dst])
+                     for e in g1.edges]
+            rng.shuffle(edges)
+            g2 = DirectedGraph("g2", vertices, tuple(edges))
+        match = graph_isomorphic(g1, g2)
+        assert (match is not None) == _brute_force_isomorphic(g1, g2), trial
+        if match is not None:
+            _apply_witness(g1, g2, match)

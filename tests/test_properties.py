@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -556,3 +557,28 @@ def test_budget_errors_are_clean_reports(tmp_path, data):
         assert err.getvalue() == "", argv
     else:
         assert "payload" in report and err.getvalue() == ""
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_budget_errors_stay_within_a_memory_bound(tmp_path, data):
+    # A job that exits 3 stops at its budget check, before it builds the
+    # over-budget table, tree or level. Building a 500,000-node vertex tree,
+    # the most the default node budget admits, peaks near 90 MB; `tree` on
+    # `star 1` past the nesting limit exits 3 under 0.5 MB.
+    argv, env_budget = _budget_job(data.draw, tmp_path)
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        os.environ.pop("FRACTALOID_MAX_STATES", None)
+        if env_budget is not None:
+            os.environ["FRACTALOID_MAX_STATES"] = env_budget
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    event(f"{argv[0]} exits {code}")
+    if code == 3:
+        assert peak < 8_000_000, (argv, env_budget, peak)
