@@ -77,33 +77,26 @@ def graph_isomorphic(
         for v in candidates[u]:
             if v in used:
                 continue
-            ok = True
             for w, mw in mapping.items():
                 if mult1[(u, w)] != mult2[(v, mw)] or mult1[(w, u)] != mult2[(mw, v)]:
-                    ok = False
                     break
-            if not ok:
-                continue
-            mapping[u] = v
-            used.add(v)
-            if backtrack(idx + 1):
-                return True
-            del mapping[u]
-            used.remove(v)
+            else:
+                mapping[u] = v
+                used.add(v)
+                if backtrack(idx + 1):
+                    return True
+                del mapping[u]
+                used.remove(v)
         return False
 
     if not backtrack(0):
         return None
 
-    # Parallel edges between a mapped pair are interchangeable; pair them up
-    # in declaration order.
+    # Parallel edges between a mapped pair are interchangeable; one iterator
+    # per pair hands them out in declaration order.
     groups2: dict[tuple[str, str], list[str]] = {}
     for e in g2.edges:
         groups2.setdefault((e.src, e.dst), []).append(e.id)
-    edge_map: dict[str, str] = {}
-    cursor: Counter = Counter()
-    for e in g1.edges:
-        key = (mapping[e.src], mapping[e.dst])
-        edge_map[e.id] = groups2[key][cursor[key]]
-        cursor[key] += 1
+    images = {key: iter(ids) for key, ids in groups2.items()}
+    edge_map = {e.id: next(images[mapping[e.src], mapping[e.dst]]) for e in g1.edges}
     return GraphMatch(vertex_map=dict(mapping), edge_map=edge_map)

@@ -2,7 +2,7 @@
 of axis paths of a given length by three routes: brute force, which walks
 every step sequence of each half of the length and matches the halves' end
 balances; the stripping recurrence over balanced step multisets, summed one
-exponent at a time; and closed forms for step bounds 1 and 2.
+exponent at a time; and the closed forms C(2h, h) and C(2h, h)^2 for N = 1, 2.
 
 Steps are kept symbolic as nonzero integers k with 1 <= |k| <= N; because the
 heights e^1, ..., e^N are rationally independent, a path returns to the axis
@@ -191,7 +191,8 @@ def count_axis_paths_recurrence(n_bound: int, length: int) -> int:
 
 
 def closed_form_count(n_bound: int, length: int) -> int:
-    """Exact binomial closed forms, available for step bounds 1 and 2."""
+    """The count at length 2h is C(2h, h) for step bound 1 and, by Vandermonde's
+    identity, C(2h, h)^2 for step bound 2; odd lengths give 0."""
     if n_bound not in (1, 2):
         raise ParameterError(
             f"closed forms exist only for step bounds 1 and 2, got {n_bound}"
@@ -200,8 +201,5 @@ def closed_form_count(n_bound: int, length: int) -> int:
         raise ParameterError(f"path length must be >= 0, got {length}")
     if length % 2:
         return 0
-    half = length // 2
-    central = comb(length, half)
-    if n_bound == 1:
-        return central
-    return central * sum(comb(half, j) ** 2 for j in range(half + 1))
+    central = comb(length, length // 2)
+    return central if n_bound == 1 else central ** 2
