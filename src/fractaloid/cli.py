@@ -102,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     moments = command("moments", _cmd_moments, "diagonal radial moments", "graph")
     moments.add_argument("--max-n", type=int, default=6)
-    moments.add_argument("--max-states", type=int, default=None)
 
     lattice = command("lattice", _cmd_lattice, "axis-path count table")
     lattice.add_argument("--N", type=int, required=True, dest="n_bound")
@@ -118,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare = command("compare", _cmd_compare, "isomorphism and moment comparison",
                       "graph1", "graph2")
     compare.add_argument("--max-n", type=int, default=6)
-    compare.add_argument("--max-states", type=int, default=None)
 
     tree = command("tree", _cmd_tree, "depth-bounded vertex tree", "graph")
     tree.add_argument("--root", required=True)
@@ -127,13 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
     matrix = command("matrix", _cmd_matrix, "truncated radial matrix diagnostics",
                      "graph")
     matrix.add_argument("--depth", type=int, default=4)
-    matrix.add_argument("--max-states", type=int, default=None)
 
     verify = command("verify", _cmd_verify, "three-way moment comparison table",
                      "graph")
     verify.add_argument("--max-n", type=int, default=8)
-    verify.add_argument("--max-states", type=int, default=None)
 
+    # The moment-table budget, after each command's own options.
+    for sub in (moments, compare, matrix, verify):
+        sub.add_argument("--max-states", type=int, default=None)
     # The output flags, last in every subcommand's usage and help.
     for sub in commands.choices.values():
         sub.add_argument("--format", choices=("json", "csv", "text"), default="json")

@@ -32,6 +32,16 @@ class MomentVector(NamedTuple):
     per_vertex: dict[str, int]
 
 
+def _check_table_size(graph: DirectedGraph, n_max: int, max_states: int) -> None:
+    """Raise LimitError when `graph`'s moment table exceeds `max_states`."""
+    arcs, orders = 2 * len(graph.edges), n_max // 2 + 1
+    if arcs * orders > max_states:
+        raise LimitError(
+            f"moment table for {graph.name!r} needs {arcs} arcs x "
+            f"{orders} orders, over the {max_states}-coefficient budget"
+        )
+
+
 def radial_moments(
     graph: DirectedGraph, n_max: int, *, max_states: int = DEFAULT_MAX_STATES
 ) -> list[MomentVector]:
@@ -51,13 +61,9 @@ def radial_moments(
     """
     if n_max < 1:
         raise ParameterError(f"moment order must be >= 1, got {n_max}")
+    _check_table_size(graph, n_max, max_states)
     arcs = shadow(graph).arcs
     half = n_max // 2
-    if len(arcs) * (half + 1) > max_states:
-        raise LimitError(
-            f"moment table for {graph.name!r} needs {len(arcs)} arcs x "
-            f"{half + 1} orders, over the {max_states}-coefficient budget"
-        )
     # Coefficients of w^k, w = z^2: r[a][k] of R_a, t[u][k] of the sum of X_b
     # over the arcs b leaving u, series[v][k] of M_v. Arcs are all forward
     # arcs, then all shadows, so r[a - m] is the reverse arc's row (a - m wraps).
@@ -137,6 +143,8 @@ def identically_distributed(
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     if len(g1.vertices) != len(g2.vertices):
         return False
+    for graph in (g1, g2):
+        _check_table_size(graph, n_max, max_states)
 
     def profile(graph: DirectedGraph) -> list[tuple[int, ...]]:
         moments = radial_moments(graph, n_max, max_states=max_states)

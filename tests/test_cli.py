@@ -167,10 +167,12 @@ def test_lattice_brute_force_fails_at_first_over_budget_length(capsys, monkeypat
 @pytest.mark.parametrize("argv", [
     ["verify", "@k3.json", "--max-n", "3000", "--max-states", "10"],
     ["lattice", "--N", "1", "--max-n", "3000", "--max-paths", "10"],
-], ids=["verify", "lattice"])
+    ["compare", "@k3.json", "@c3.json", "--max-n", "1200", "--max-states", "4000"],
+], ids=["verify", "lattice", "compare"])
 def test_budget_fails_before_any_unbudgeted_column(capsys, workdir, argv):
-    # The lattice column of a 3000-order table peaks near 0.5 MB; a job that
-    # fails at its budget check peaks under 0.1 MB.
+    # The lattice column of a 3000-order table peaks near 0.5 MB, and the
+    # first graph's 1200-order moment table near 1.2 MB; a job that fails at
+    # its budget check peaks under 0.1 MB.
     argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
     tracemalloc.start()
     try:
