@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from itertools import groupby
 
 import pytest
 
@@ -9,6 +10,7 @@ from fractaloid import (
     LatticePath,
     LimitError,
     ParameterError,
+    axis_path_counts,
     balanced_tuple_classes,
     closed_form_count,
     count_axis_paths_bruteforce,
@@ -16,6 +18,7 @@ from fractaloid import (
     has_axis_property,
     tuple_coefficient,
 )
+from fractaloid.lattice import DEFAULT_MAX_PATHS
 
 
 def test_axis_property_examples():
@@ -77,6 +80,26 @@ def test_coefficient_equals_multinomial():
                 for run in runs.values():
                     expected //= math.factorial(run)
                 assert cls.coefficient == expected
+
+
+def test_coefficient_is_multinomial_of_neighbour_runs():
+    # Any tuple, sorted or not: len! over the factorials of its maximal
+    # runs of equal neighbours.
+    def multinomial(values):
+        expected = math.factorial(len(values))
+        for _, run in groupby(values):
+            expected //= math.factorial(len(list(run)))
+        return expected
+
+    rng = random.Random(31)
+    tuples = [(), (4,) * 7]
+    for _ in range(2000):
+        values = tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 12)))
+        tuples += [values, tuple(sorted(values))]
+    for values in tuples:
+        assert tuple_coefficient(values) == multinomial(values), values
+    assert tuple_coefficient(()) == 1
+    assert tuple_coefficient((4,) * 7) == 1
 
 
 def test_balanced_tuples_are_balanced_and_sorted():
@@ -143,10 +166,40 @@ def test_recurrence_matches_bruteforce():
             ) == walk_every_sequence(n_bound, length)
 
 
+def test_bruteforce_matches_recurrence_at_default_budget():
+    # Every step bound 1..8 and every length the default budget admits.
+    cases = 0
+    for n_bound in range(1, 9):
+        length = 0
+        while (2 * n_bound) ** length <= DEFAULT_MAX_PATHS:
+            length += 1
+        expected = axis_path_counts(n_bound, length - 1)
+        for n in range(length):
+            assert count_axis_paths_bruteforce(n_bound, n) == expected[n], (
+                n_bound, n)
+            cases += 1
+        with pytest.raises(LimitError):
+            count_axis_paths_bruteforce(n_bound, length)
+    assert cases == 81
+
+
 def test_bruteforce_memory_does_not_grow_with_step_bound():
     tracemalloc.start()
     try:
         assert count_axis_paths_bruteforce(10**6, 0) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("n_bound, length, expected",
+                         [(10**4, 1, 0), (1000, 2, 2000)])
+def test_bruteforce_memory_at_short_lengths(n_bound, length, expected):
+    # The tally holds at most (2N)^(n/2) balances, whatever N is.
+    tracemalloc.start()
+    try:
+        assert count_axis_paths_bruteforce(n_bound, length) == expected
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
