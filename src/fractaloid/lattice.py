@@ -1,8 +1,9 @@
 """Lattice paths over the steps (1, +-e^k), the axis property, and the count
 of axis paths of a given length by three routes: brute force, which walks
-every step sequence of each half of the length and matches the halves' end
-balances; the stripping recurrence over balanced step multisets, summed one
-exponent at a time; and the closed forms C(2h, h) and C(2h, h)^2 for N = 1, 2.
+the (2N)^(n/2) step sequences of half an even length n once and pairs their
+end balances (an odd n walks none); the stripping recurrence over balanced
+step multisets, summed one exponent at a time; and the closed forms C(2h, h)
+and C(2h, h)^2 for N = 1, 2.
 
 Steps are kept symbolic as nonzero integers k with 1 <= |k| <= N; because the
 heights e^1, ..., e^N are rationally independent, a path returns to the axis
@@ -13,8 +14,7 @@ floating-point height arithmetic appears anywhere.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from math import comb
 from typing import NamedTuple
 
@@ -52,22 +52,22 @@ def has_axis_property(path: LatticePath) -> bool:
 def count_axis_paths_bruteforce(
     n_bound: int, length: int, *, max_paths: int = DEFAULT_MAX_PATHS
 ) -> int:
-    """Count axis paths by walking step sequences in two halves.
+    """Count axis paths by walking the step sequences of half the length.
 
-    A sequence of n steps returns to the axis exactly when its last
-    ceil(n/2) steps undo the per-exponent balance of its first floor(n/2).
-    Every floor(n/2)-step sequence is walked one at a time and its end
-    balance, negated, tallied; then every ceil(n/2)-step sequence is walked
-    and the tally of its own end balance added. That is
-    (2N)^floor(n/2) + (2N)^ceil(n/2) walked sequences in place of (2N)^n.
-    No binomial or step multiset is used, so the count stays an independent
-    oracle for the recurrence and the closed forms.
+    Each step +k must be undone by a step -k, so an odd length gives 0 and
+    nothing is walked. A sequence of even length n returns to the axis
+    exactly when its last n/2 steps undo the per-exponent balance of its
+    first n/2. Both halves range over the same n/2-step sequences, so each
+    is walked once, one at a time, and its end balance b tallied; the count
+    is the sum of tally[b] * tally[-b]. That is (2N)^(n/2) walked sequences
+    in place of (2N)^n. No binomial or step multiset is used, so the count
+    stays an independent oracle for the recurrence and the closed forms.
 
-    The budget still counts the (2N)^n sequences the count covers, so the
-    routes that may run and the errors they give do not depend on how the
-    count is computed. Balances are sparse (nonzero exponents only), so the
-    memory is bounded by the tally's (2N)^floor(n/2) <= sqrt(max_paths)
-    entries, whatever N is.
+    The budget still counts the (2N)^n sequences the count covers, and is
+    checked before the parity, so the routes that may run and the errors
+    they give do not depend on how the count is computed. Balances are
+    sparse (nonzero exponents only), so the memory is bounded by the tally's
+    (2N)^(n/2) <= sqrt(max_paths) entries, whatever N is.
     """
     if n_bound < 1:
         raise ParameterError(f"step bound must be >= 1, got {n_bound}")
@@ -79,13 +79,14 @@ def count_axis_paths_bruteforce(
             f"brute-force enumeration of {total} paths exceeds the "
             f"{max_paths}-path budget"
         )
+    if length % 2:
+        return 0
     balance: dict[int, int] = {}
     tally: Counter[tuple[tuple[int, int], ...]] = Counter()
-    count = 0
 
-    def walk(remaining: int, leaf: Callable[[], None]) -> None:
+    def walk(remaining: int) -> None:
         if remaining == 0:
-            leaf()
+            tally[tuple(sorted(balance.items()))] += 1
             return
         for k in range(1, n_bound + 1):
             before = balance.get(k, 0)
@@ -94,22 +95,15 @@ def count_axis_paths_bruteforce(
                     balance[k] = after
                 else:
                     del balance[k]
-                walk(remaining - 1, leaf)
+                walk(remaining - 1)
             if before:
                 balance[k] = before
             else:
                 del balance[k]
 
-    def tally_needed() -> None:
-        tally[tuple(sorted((k, -b) for k, b in balance.items()))] += 1
-
-    def add_matches() -> None:
-        nonlocal count
-        count += tally[tuple(sorted(balance.items()))]
-
-    walk(length // 2, tally_needed)
-    walk(length - length // 2, add_matches)
-    return count
+    walk(length // 2)
+    return sum(count * tally[tuple((k, -b) for k, b in end)]
+               for end, count in tally.items())
 
 
 def tuple_coefficient(values: tuple[int, ...]) -> int:
@@ -117,17 +111,15 @@ def tuple_coefficient(values: tuple[int, ...]) -> int:
     recurrence: remove the trailing run of m equal values and multiply by
     C(current length, m); a constant tuple counts 1.
 
-    The binomial's top index is the tuple length at the moment of stripping,
-    which makes the result the multinomial of the run lengths.
+    The same product is read here from the front: each run of m equal
+    neighbours multiplies by C(length up to its end, m). That makes the
+    result the multinomial of the run lengths.
     """
-    values = tuple(values)
-    coefficient = 1
-    while values and any(v != values[-1] for v in values):
-        run = 1
-        while run < len(values) and values[-run - 1] == values[-1]:
-            run += 1
-        coefficient *= comb(len(values), run)
-        values = values[:-run]
+    coefficient, length = 1, 0
+    for _, run in groupby(values):
+        m = sum(1 for _ in run)
+        length += m
+        coefficient *= comb(length, m)
     return coefficient
 
 
