@@ -361,11 +361,6 @@ def _render_text(value, indent: int = 0, rendered: dict | None = None) -> list[s
     scalars print through `str`. The lines of a dict or list met again at the
     same indent (a shared subtree of a vertex tree) are rendered once: they
     are kept in `rendered` by (id, indent)."""
-    # An empty container (the children of a tree leaf) returns before any
-    # call. A call there, or a generator frame, would count one level deeper
-    # and lower the tree depth at which the recursion limit is hit.
-    if not value:
-        return []
     if rendered is None:
         rendered = {}
     lines = rendered.get((id(value), indent))
@@ -523,7 +518,9 @@ def _render(command: str, payload: dict, fmt: str) -> str:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
+        # Encoded before the file is opened, so a report that cannot be
+        # encoded leaves the file as it was.
+        args.out.write_bytes(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -543,6 +540,8 @@ def main(argv: list[str] | None = None) -> int:
             _emit(args, _render(args.command, payload, args.format))
         except OSError as exc:
             raise GraphError(f"cannot read or write file: {exc}") from exc
+        except UnicodeEncodeError as exc:
+            raise GraphError(f"cannot encode the report: {exc}") from exc
         except RecursionError:
             # Vertex trees and their JSON and text renderings recurse per level.
             raise LimitError(f"{args.command}: input nests too deeply") from None
@@ -561,7 +560,3 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

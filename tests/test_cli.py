@@ -412,6 +412,39 @@ def test_out_to_missing_directory_is_graph_error(tmp_path):
     assert not out.parent.exists()
 
 
+# A vertex named by a lone surrogate loads from JSON but cannot be encoded.
+UNENCODABLE_GRAPH = (
+    '{"name": "s", "vertices": ["\\ud800"], '
+    '"edges": [{"id": "e1", "src": "\\ud800", "dst": "\\ud800"}]}'
+)
+
+
+def test_unencodable_report_leaves_out_file_unchanged(capsys, tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(UNENCODABLE_GRAPH)
+    out = tmp_path / "o.json"
+    out.write_bytes(b"earlier report\n")
+    code, stdout, _ = run_cli(capsys, "info", str(graph), "--out", str(out))
+    assert code == 2
+    assert json.loads(stdout)["error"]["type"] == "GraphError"
+    assert out.read_bytes() == b"earlier report\n"
+
+
+def test_unencodable_report_is_graph_error(tmp_path):
+    # Run as `python -m fractaloid`, so a traceback would show on stderr.
+    graph = tmp_path / "g.json"
+    graph.write_text(UNENCODABLE_GRAPH)
+    env = dict(os.environ, PYTHONPATH=str(Path(fractaloid.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "fractaloid", "info", str(graph)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 2
+    report = json.loads(result.stdout)
+    assert report["error"]["type"] == "GraphError"
+    assert report["exit_code"] == 2
+    assert "Traceback" not in result.stderr
+
 def test_text_format(capsys, workdir):
     code, stdout, _ = run_cli(capsys, "check", str(workdir / "k3.json"),
                               "--format", "text")
