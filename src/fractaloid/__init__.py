@@ -72,6 +72,7 @@ from .moments import (
     radial_moment,
     radial_moments,
     tree_return_count,
+    tree_return_counts,
     truncated_radial_matrix,
     verification_report,
     verify_moment_theorem,

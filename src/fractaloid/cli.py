@@ -172,10 +172,8 @@ def _cmd_gen(args) -> dict:
 
 def _cmd_info(args) -> dict:
     graph = load_graph(args.graph)
-    degrees = {}
-    for v in graph.vertices:
-        out, inc = len(graph._out[v]), len(graph._in[v])
-        degrees[v] = {"out": out, "in": inc, "total": out + inc}
+    degrees = {v: {"out": out, "in": inc, "total": out + inc}
+               for v, out, inc in graph.degree_table()}
     return {
         "name": graph.name,
         "vertex_count": len(graph.vertices),

@@ -12,6 +12,7 @@ trees) and does not qualify.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -36,15 +37,7 @@ class FractalPair(NamedTuple):
 def max_out_degree(graph: DirectedGraph) -> int:
     if not graph.vertices:
         raise ParameterError("max_out_degree of an empty graph is undefined")
-    return max(map(len, graph._out.values()))
-
-
-def _first_degree_defect(graph: DirectedGraph, n: int) -> tuple[str, int, int] | None:
-    for v, out_edges in graph._out.items():
-        out, inc = len(out_edges), len(graph._in[v])
-        if out != n or inc != n:
-            return (v, out, inc)
-    return None
+    return max(map(itemgetter(1), graph.degree_table()))
 
 
 def is_fractal(graph: DirectedGraph) -> bool:
@@ -69,13 +62,12 @@ def fractal_pair(graph: DirectedGraph) -> FractalPair:
     n = max_out_degree(graph)
     if n == 0:
         raise NotFractalError(f"graph {graph.name!r} has no edges")
-    defect = _first_degree_defect(graph, n)
-    if defect is not None:
-        v, out, inc = defect
-        raise NotFractalError(
-            f"graph {graph.name!r} is not fractal: vertex {v!r} has "
-            f"out-degree {out} and in-degree {inc}, expected {n} and {n}"
-        )
+    for v, out, inc in graph.degree_table():
+        if out != n or inc != n:
+            raise NotFractalError(
+                f"graph {graph.name!r} is not fractal: vertex {v!r} has "
+                f"out-degree {out} and in-degree {inc}, expected {n} and {n}"
+            )
     return FractalPair(n, len(graph.vertices))
 
 
@@ -113,7 +105,7 @@ def vertex_tree(
     if depth < 0:
         raise ParameterError(f"tree depth must be >= 0, got {depth}")
     graph.require_vertex(v)
-    arcs_from = shadow(graph)._arcs_from
+    arcs_from = shadow(graph).arcs_from
     # levels[k] holds the vertices that label nodes k arcs below the root;
     # `level` maps those of the deepest level to their number of nodes.
     # Counting stops once the budget is exceeded or a level is empty, so no
@@ -123,7 +115,7 @@ def vertex_tree(
     for _ in range(depth):
         below: dict[str, int] = {}
         for u, nodes in level.items():
-            for a in arcs_from[u]:
+            for a in arcs_from(u):
                 below[a.target] = below.get(a.target, 0) + nodes
         count += sum(below.values())
         if not below or count > max_nodes:
@@ -138,7 +130,7 @@ def vertex_tree(
     children: dict[str, tuple[TreeNode, ...]] = dict.fromkeys(levels[-1], ())
     for vertices in reversed(levels[:-1]):
         children = {
-            u: tuple(TreeNode(a.target, a, children[a.target]) for a in arcs_from[u])
+            u: tuple(TreeNode(a.target, a, children[a.target]) for a in arcs_from(u))
             for u in vertices
         }
     return VertexTree(graph.name, TreeNode(v, None, children[v]), depth)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import Frozen, GraphError, ParameterError, UnknownVertexError
 
@@ -48,7 +48,7 @@ class DirectedGraph(Frozen):
     token of that edge's shadow). Declaration order of vertices and edges
     is preserved and significant for serialization and derived labelings.
     `_out`, `_in` and `_edge_by_id` are derived, and left out of equality
-    and repr.
+    and repr; other modules read the first two through `degree_table`.
     """
 
     __slots__ = ("name", "vertices", "edges", "_out", "_in", "_edge_by_id")
@@ -121,6 +121,12 @@ class DirectedGraph(Frozen):
         inc = len(self._in[v])
         return VertexDegrees(out, inc, out + inc)
 
+    def degree_table(self) -> Iterator[tuple[str, int, int]]:
+        """`(v, out-degree, in-degree)` of every vertex in declaration order,
+        in one pass over the derived tables (which share that key order)."""
+        return zip(self._out, map(len, self._out.values()),
+                   map(len, self._in.values()))
+
     def edge_multiplicities(self) -> Counter:
         """Multiset of (src, dst) pairs; the key datum for isomorphism search."""
         return Counter((e.src, e.dst) for e in self.edges)
@@ -156,21 +162,25 @@ class SignedEdge(NamedTuple):
 
 class ShadowedGraph(Frozen):
     """A graph together with its shadow: one forward and one inverted arc per
-    base edge, so every vertex gains its in-edges as extra out-arcs."""
+    base edge, so every vertex gains its in-edges as extra out-arcs. The arc
+    table, by arc position: `reverse[a]` is arc `a` traversed the other way,
+    and `leaving[v]` the arcs whose source is `v`, in arc order."""
 
-    __slots__ = ("base", "arcs", "_arcs_from")
+    __slots__ = ("base", "arcs", "reverse", "leaving")
     _fields = ("base", "arcs")
 
     def __init__(self, base: DirectedGraph, arcs: tuple[SignedEdge, ...]) -> None:
-        table: dict[str, list[SignedEdge]] = {v: [] for v in base.vertices}
-        for arc in arcs:
-            table[arc.source].append(arc)
+        position = {arc: a for a, arc in enumerate(arcs)}
+        leaving: dict[str, list[int]] = {v: [] for v in base.vertices}
+        for a, arc in enumerate(arcs):
+            leaving[arc.source].append(a)
         self._set(base=base, arcs=arcs,
-                  _arcs_from={v: tuple(a) for v, a in table.items()})
+                  reverse=tuple(position[arc.inverse()] for arc in arcs),
+                  leaving={v: tuple(out) for v, out in leaving.items()})
 
     def arcs_from(self, v: str) -> tuple[SignedEdge, ...]:
         self.base.require_vertex(v)
-        return self._arcs_from[v]
+        return tuple(map(self.arcs.__getitem__, self.leaving[v]))
 
     def as_graph(self) -> DirectedGraph:
         """The shadowed graph as a plain directed graph. The arcs of edge `a`

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import FractaloidError, GraphError, ParameterError
-from .fractality import _first_degree_defect, max_out_degree
+from .fractality import max_out_degree
 from .graphs import DirectedGraph, EdgeRecord, ShadowedGraph, SignedEdge, shadow
 from .lattice import LatticePath
 
@@ -84,7 +84,7 @@ def canonical_labeling(graph: DirectedGraph) -> Labeling:
     if not graph.vertices:
         return Labeling(graph, 0, {})
     n = max_out_degree(graph)
-    regular = n >= 1 and _first_degree_defect(graph, n) is None
+    regular = n >= 1 and all(out == inc == n for _, out, inc in graph.degree_table())
     assignment: dict[str, int] = {}
     if regular:
         remaining = {v: list(graph.out_edges(v)) for v in graph.vertices}

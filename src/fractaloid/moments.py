@@ -62,20 +62,20 @@ def radial_moments(
     if n_max < 1:
         raise ParameterError(f"moment order must be >= 1, got {n_max}")
     _check_table_size(graph, n_max, max_states)
-    arcs = shadow(graph).arcs
-    half = n_max // 2
-    # Coefficients of w^k, w = z^2: r[a][k] of R_a, t[u][k] of the sum of X_b
-    # over the arcs b leaving u, series[v][k] of M_v. Arcs are all forward
-    # arcs, then all shadows, so r[a - m] is the reverse arc's row (a - m wraps).
-    m = len(graph.edges)
-    r = [[1] for _ in arcs]
-    t = {v: [0] * (half + 1) for v in graph.vertices}
+    shadowed = shadow(graph)
+    # Coefficients of w^k, w = z^2: r[a][k] of R_a for the arc at position a,
+    # t[u][k] of the sum of X_b over the arcs b leaving u, series[v][k] of M_v.
+    # Each row of r is paired once with the rows it reads: its target's t and
+    # its reverse arc's r.
+    r = [[1] for _ in shadowed.arcs]
+    t = {v: [0] for v in graph.vertices}
     series = {v: [1] for v in graph.vertices}
-    for k in range(1, half + 1):
-        for a, arc in enumerate(arcs):
-            t[arc.source][k] += r[a][k - 1]
-        for a, arc in enumerate(arcs):
-            ta, back, ra = t[arc.target], r[a - m], r[a]
+    rows = [(ra, t[arc.target], r[back])
+            for ra, arc, back in zip(r, shadowed.arcs, shadowed.reverse)]
+    for k in range(1, n_max // 2 + 1):
+        for v, out in shadowed.leaving.items():
+            t[v].append(sum(r[a][k - 1] for a in out))
+        for ra, ta, back in rows:
             ra.append(sum((ta[j] - back[j - 1]) * ra[k - j] for j in range(1, k + 1)))
         for v, mv in series.items():
             mv.append(sum(t[v][j] * mv[k - j] for j in range(1, k + 1)))
@@ -92,28 +92,35 @@ def radial_moment(
     return radial_moments(graph, n, max_states=max_states)[-1]
 
 
-def tree_return_count(n_bound: int, length: int) -> int:
-    """Closed walks at the root of the 2N-regular shadow tree.
+def tree_return_counts(n_bound: int, max_length: int) -> list[int]:
+    """Closed walks at the root of the 2N-regular shadow tree, for every
+    length 0..max_length.
 
-    Distance-from-root DP: depth 0 offers 2N outward moves; any deeper node
-    offers 2N - 1 outward moves and one move back toward the root.
+    One pass of a distance-from-root DP, `counts[d]` walks ending at depth d:
+    depth 0 offers 2N outward moves; any deeper node offers 2N - 1 outward
+    moves and one move back toward the root.
     """
     if n_bound < 1:
         raise ParameterError(f"tree degree bound must be >= 1, got {n_bound}")
-    if length < 0:
-        raise ParameterError(f"walk length must be >= 0, got {length}")
+    if max_length < 0:
+        raise ParameterError(f"walk length must be >= 0, got {max_length}")
     out_root = 2 * n_bound
-    counts = {0: 1}
-    for _ in range(length):
-        nxt: dict[int, int] = {}
-        for depth, count in counts.items():
-            if depth == 0:
-                nxt[1] = nxt.get(1, 0) + out_root * count
-            else:
-                nxt[depth + 1] = nxt.get(depth + 1, 0) + (out_root - 1) * count
-                nxt[depth - 1] = nxt.get(depth - 1, 0) + count
+    counts, returns = [1], [1]
+    for _ in range(max_length):
+        nxt = [0] * (len(counts) + 1)
+        nxt[1] = out_root * counts[0]
+        for depth in range(1, len(counts)):
+            nxt[depth + 1] += (out_root - 1) * counts[depth]
+            nxt[depth - 1] += counts[depth]
         counts = nxt
-    return counts.get(0, 0)
+        returns.append(counts[0])
+    return returns
+
+
+def tree_return_count(n_bound: int, length: int) -> int:
+    """Closed walks of one length at the root of the 2N-regular shadow tree
+    (see `tree_return_counts`)."""
+    return tree_return_counts(n_bound, length)[length]
 
 
 def is_scalar(moment: MomentVector) -> int | None:
@@ -259,6 +266,7 @@ def verify_moment_theorem(
     # The budget is checked before the unbudgeted lattice column is built.
     moments = radial_moments(graph, n_max, max_states=max_states)
     lattice = axis_path_counts(pair.n_zero, n_max)
+    tree = tree_return_counts(pair.n_zero, n_max)
     rows = []
     for moment in moments:
         scalar = is_scalar(moment)
@@ -270,7 +278,7 @@ def verify_moment_theorem(
             MomentComparisonRow(
                 n=moment.n,
                 walk=scalar,
-                tree=tree_return_count(pair.n_zero, moment.n),
+                tree=tree[moment.n],
                 lattice=lattice[moment.n],
             )
         )

@@ -6,14 +6,15 @@ pair. Products are partial: composing words whose range and source disagree
 yields the empty word, and cancellation at the junction can only shorten a
 product, never kill it.
 
-`_cancels` holds the one cancellation rule; word validation, `multiply`, the
-stack of `reduce_word` and the word basis of `word_tree` all use it.
+`_cancels` holds the one cancellation rule; word validation, `multiply` and
+the stack of `reduce_word` use it. The word basis of `word_tree` reads the
+shadow's arc table instead: a word never continues by its last letter's
+reverse (`ShadowedGraph.reverse`).
 """
 
 from __future__ import annotations
 
 import enum
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import Frozen, GraphError, LimitError, ParameterError
@@ -205,21 +206,19 @@ def word_tree(
     position: the word without its last letter (the source unit for one letter)."""
     if max_len < 0:
         raise ParameterError(f"max_len must be >= 0, got {max_len}")
-    graph = shadowed.base
-    token = attrgetter("token")
-    arcs_from = {v: sorted(shadowed.arcs_from(v), key=token) for v in graph.vertices}
-    # Each arc's continuations in token order, for words of 2+ letters.
-    follows = {
-        a: [b for b in arcs_from[a.target] if not _cancels(a, b)]
-        for a in (shadowed.arcs if max_len > 1 else ())
-    }
+    graph, arcs, reverse = shadowed.base, shadowed.arcs, shadowed.reverse
+    token = [arc.token for arc in arcs].__getitem__
+    # onward[a]: the arcs leaving arc a's target, in token order. A word
+    # continues by all of them but its last letter's reverse, always there.
+    by_token = {v: sorted(out, key=token) for v, out in shadowed.leaving.items()}
+    onward = [by_token[arc.target] for arc in arcs]
     units = {v: i for i, v in enumerate(graph.vertices)}
     words = [vertex_word(graph, v) for v in graph.vertices]
-    parents, level = [], []
+    parents, level, ends = [], [], []  # ends[i]: level[i]'s last letter
     for length in range(1, max_len + 1):
         # The budget is checked before the level is built.
-        size = (len(shadowed.arcs) if length == 1
-                else sum(len(follows[letters[-1]]) for letters in level))
+        size = (len(arcs) if length == 1
+                else sum(len(onward[a]) - 1 for a in ends))
         if not size:
             break
         if len(words) + size > max_words:
@@ -228,17 +227,22 @@ def word_tree(
                 f"at length {length}"
             )
         if length == 1:
-            level = [(arc,) for arc in sorted(shadowed.arcs, key=token)]
+            ends = sorted(range(len(arcs)), key=token)
+            level = [(arcs[a],) for a in ends]
             parents = [units[letters[0].source] for letters in level]
         else:
             # Parents in sorted order, each extended by arcs in token order:
             # the next level comes out sorted too.
-            nxt = []
-            for parent, letters in enumerate(level, len(words) - len(level)):
-                for arc in follows[letters[-1]]:
-                    nxt.append(letters + (arc,))
-                    parents.append(parent)
-            level = nxt
+            nxt, nxt_ends = [], []
+            start = len(words) - len(level)
+            for parent, (letters, a) in enumerate(zip(level, ends), start):
+                back = reverse[a]
+                for b in onward[a]:
+                    if b != back:
+                        nxt.append(letters + (arcs[b],))
+                        nxt_ends.append(b)
+                        parents.append(parent)
+            level, ends = nxt, nxt_ends
         words.extend(_trusted_word(graph, None, letters) for letters in level)
     return words, parents
 

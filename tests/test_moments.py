@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from fractaloid import (
     radial_moment,
     regularize,
     tree_return_count,
+    tree_return_counts,
     truncated_radial_matrix,
     verification_report,
     verify_moment_theorem,
@@ -78,6 +80,42 @@ def test_tree_return_values():
     assert tree_return_count(2, 8) == 2092
     assert tree_return_count(7, 0) == 1
     assert tree_return_count(3, 5) == 0
+
+
+def _mckay_closed_walks(degree: int, length: int) -> int:
+    """Closed walks of `length` at a vertex of the infinite `degree`-regular
+    tree, by McKay's closed form (Kesten's return probabilities):
+    W(2k) = sum_{j=1..k} j / (2k - j) * C(2k - j, k) * d^j * (d - 1)^(k - j)."""
+    if length % 2:
+        return 0
+    k = length // 2
+    if k == 0:
+        return 1
+    total = sum(
+        Fraction(j, 2 * k - j) * math.comb(2 * k - j, k)
+        * degree**j * (degree - 1) ** (k - j)
+        for j in range(1, k + 1)
+    )
+    assert total.denominator == 1
+    return total.numerator
+
+
+@pytest.mark.parametrize("n_bound", range(1, 5))
+def test_tree_return_counts_match_each_length_and_mckay(n_bound):
+    table = tree_return_counts(n_bound, 120)
+    assert len(table) == 121
+    assert table == [tree_return_count(n_bound, n) for n in range(121)]
+    assert table == [_mckay_closed_walks(2 * n_bound, n) for n in range(121)]
+    assert tree_return_counts(n_bound, 0) == [1]
+
+
+@pytest.mark.parametrize("call", [tree_return_count, tree_return_counts],
+                         ids=["tree_return_count", "tree_return_counts"])
+def test_tree_return_parameter_messages(call):
+    with pytest.raises(ParameterError, match=r"^tree degree bound must be >= 1, got 0$"):
+        call(0, 2)
+    with pytest.raises(ParameterError, match=r"^walk length must be >= 0, got -1$"):
+        call(2, -1)
 
 
 def test_moment_parameter_checks():

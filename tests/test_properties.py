@@ -67,6 +67,24 @@ def small_multigraphs(draw, sizes=st.integers(min_value=1, max_value=4)):
     return DirectedGraph("G", vertices, edges)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs())
+def test_arc_table_states_the_shadow(graph):
+    shadowed = shadow(graph)
+    arcs, reverse, leaving = shadowed.arcs, shadowed.reverse, shadowed.leaving
+    assert len(reverse) == len(arcs)
+    for a, back in enumerate(reverse):
+        assert arcs[back] == arcs[a].inverse()
+        assert back != a and reverse[back] == a
+    assert list(leaving) == list(graph.vertices)
+    for v, out in leaving.items():
+        assert out == tuple(a for a, arc in enumerate(arcs) if arc.source == v)
+        assert shadowed.arcs_from(v) == tuple(arc for arc in arcs if arc.source == v)
+    assert list(graph.degree_table()) == [
+        (v, *graph.degrees(v)[:2]) for v in graph.vertices
+    ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_multigraphs())
 def test_first_return_moments_match_matrix_and_tree(graph):
