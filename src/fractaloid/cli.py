@@ -299,7 +299,12 @@ def _tree_to_json(root) -> dict:
             }
         return payload
 
-    return convert(root)
+    try:
+        return convert(root)
+    finally:
+        # `convert` refers to itself: unbound, it and `payloads` are freed
+        # now, not at the next cyclic collection.
+        del convert
 
 
 def _cmd_tree(args) -> dict:
@@ -489,7 +494,12 @@ def json_text(value, *, ensure_ascii: bool = False) -> str:
                 f"Object of type {type(o).__name__} is not JSON serializable"
             )
 
-    put(value, "\n")
+    try:
+        put(value, "\n")
+    finally:
+        # `put` refers to itself: unbound, it, `texts` and the buffer are
+        # freed on return, so the report text is all that is left.
+        del put
     write("\n")
     return buffer.getvalue()
 

@@ -205,8 +205,10 @@ def classify(graphs: Iterable[DirectedGraph]) -> ClassificationResult:
             pair = fractal_pair(graph)
         except (DisconnectedGraphError, NotFractalError) as exc:
             rejected.append((graph.name, str(exc)))
-            continue
-        classes.setdefault(pair, []).append(graph.name)
+        else:
+            classes.setdefault(pair, []).append(graph.name)
+        # Dropped before `graphs` yields the next one, which may be loading.
+        del graph
     return ClassificationResult(dict(sorted(classes.items())), rejected)
 
 

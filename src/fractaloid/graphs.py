@@ -172,10 +172,25 @@ class ShadowedGraph(Frozen):
     def __init__(self, base: DirectedGraph, arcs: tuple[SignedEdge, ...]) -> None:
         position = {arc: a for a, arc in enumerate(arcs)}
         leaving: dict[str, list[int]] = {v: [] for v in base.vertices}
-        for a, arc in enumerate(arcs):
-            leaving[arc.source].append(a)
-        self._set(base=base, arcs=arcs,
-                  reverse=tuple(position[arc.inverse()] for arc in arcs),
+        # `shadow` builds valid arcs; a faulty hand-built table fails on the
+        # lookups themselves, so valid ones pay for no extra test.
+        try:
+            for a, arc in enumerate(arcs):
+                leaving[arc.source].append(a)
+        except KeyError:
+            raise GraphError(
+                f"arc {arc.token!r} leaves {arc.source!r}, which is not a "
+                f"vertex of graph {base.name!r}"
+            ) from None
+        try:
+            reverse = tuple(position[arc.inverse()] for arc in arcs)
+        except KeyError as exc:
+            missing = exc.args[0]
+            raise GraphError(
+                f"arc {missing.inverse().token!r} has no reverse "
+                f"{missing.token!r} among the arcs"
+            ) from None
+        self._set(base=base, arcs=arcs, reverse=reverse,
                   leaving={v: tuple(out) for v, out in leaving.items()})
 
     def arcs_from(self, v: str) -> tuple[SignedEdge, ...]:
@@ -357,6 +372,13 @@ def graph_to_json(graph: DirectedGraph) -> dict:
 
 
 def graph_from_json(obj: object) -> DirectedGraph:
+    name, vertices, edges = _graph_fields(obj)
+    return DirectedGraph(name, tuple(vertices), tuple(map(_edge_record, edges)))
+
+
+def _graph_fields(obj: object) -> tuple[str, list[str], list]:
+    """The name, vertices and edge entries of graph JSON, or the GraphError
+    for its first fault that is not in an edge entry."""
     if not isinstance(obj, dict):
         raise GraphError("graph JSON must be an object")
     unknown = set(obj) - _GRAPH_KEYS
@@ -372,29 +394,37 @@ def graph_from_json(obj: object) -> DirectedGraph:
         raise GraphError("vertices must be a list of strings")
     if not isinstance(edges, list):
         raise GraphError("edges must be a list")
-    records = []
-    for entry in edges:
-        if type(entry) is not dict or entry.keys() != _EDGE_KEYS:
-            _check_edge_shape(entry)
-        edge_id, src, dst = entry["id"], entry["src"], entry["dst"]
-        if not (isinstance(edge_id, str) and isinstance(src, str)
-                and isinstance(dst, str)):
-            raise GraphError("edge id/src/dst must be strings")
-        records.append(EdgeRecord(edge_id, src, dst))
-    return DirectedGraph(name, tuple(vertices), tuple(records))
+    return name, vertices, edges
 
 
-def _check_edge_shape(entry: object) -> None:
-    """Raise the detailed error for an edge entry that is not a plain dict
-    with exactly the keys id, src and dst (dict subclasses may pass)."""
-    if not isinstance(entry, dict):
-        raise GraphError("each edge must be an object")
-    unknown = set(entry) - _EDGE_KEYS
-    if unknown:
-        raise GraphError(f"unknown edge keys: {sorted(unknown)}")
-    missing = _EDGE_KEYS - set(entry)
-    if missing:
-        raise GraphError(f"edge missing keys: {sorted(missing)}")
+def _edge_record(entry: object) -> EdgeRecord:
+    """The record of one edge entry of graph JSON, or the GraphError for it.
+    Only an entry that is not a plain dict with exactly the keys id, src and
+    dst is checked in detail (dict subclasses may pass)."""
+    if type(entry) is not dict or entry.keys() != _EDGE_KEYS:
+        if not isinstance(entry, dict):
+            raise GraphError("each edge must be an object")
+        unknown = set(entry) - _EDGE_KEYS
+        if unknown:
+            raise GraphError(f"unknown edge keys: {sorted(unknown)}")
+        missing = _EDGE_KEYS - set(entry)
+        if missing:
+            raise GraphError(f"edge missing keys: {sorted(missing)}")
+    edge_id, src, dst = entry["id"], entry["src"], entry["dst"]
+    if not (isinstance(edge_id, str) and isinstance(src, str)
+            and isinstance(dst, str)):
+        raise GraphError("edge id/src/dst must be strings")
+    return EdgeRecord(edge_id, src, dst)
+
+
+def _parsed_edge(obj: dict) -> object:
+    """The `object_hook` of `load_graph`: a JSON object that is a valid edge
+    entry becomes its EdgeRecord as soon as it is parsed, so its dict is
+    freed at once; any other object stays a dict."""
+    try:
+        return _edge_record(obj)
+    except GraphError:
+        return obj
 
 
 def save_graph(graph: DirectedGraph, path: str | Path) -> None:
@@ -405,9 +435,18 @@ def save_graph(graph: DirectedGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> DirectedGraph:
+    """`graph_from_json` of the file at `path`, with the same errors, built
+    without a dict per edge."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(Path(path).read_text(encoding="utf-8"),
+                         object_hook=_parsed_edge)
     except ValueError as exc:
         # JSONDecodeError, UnicodeDecodeError and the int-digit limit alike.
         raise GraphError(f"malformed graph JSON in {path}: {exc}") from exc
-    return graph_from_json(obj)
+    if type(obj) is EdgeRecord:
+        # The document itself was one edge object: it fails as graph JSON.
+        obj = {"id": obj.id, "src": obj.src, "dst": obj.dst}
+    name, vertices, edges = _graph_fields(obj)
+    # Every entry that is not an EdgeRecord yet is faulty and raises here.
+    records = tuple(e if type(e) is EdgeRecord else _edge_record(e) for e in edges)
+    return DirectedGraph(name, tuple(vertices), records)

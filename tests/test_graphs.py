@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ from fractaloid import (
     EdgeRecord,
     GraphError,
     ParameterError,
+    ShadowedGraph,
     SignedEdge,
     UnknownVertexError,
     degrees,
@@ -205,6 +207,18 @@ def test_shadow_degree_is_total_degree():
     assert len(sh.arcs) == 2 * len(g.edges)
 
 
+def test_hand_built_shadow_with_faulty_arcs_is_a_graph_error():
+    k3 = family("circulant", 3)
+    with pytest.raises(GraphError) as excinfo:
+        ShadowedGraph(k3, shadow(k3).arcs[:3])
+    assert str(excinfo.value) == "arc 'e1' has no reverse 'e1~' among the arcs"
+    stray = SignedEdge(EdgeRecord("x", "q", "v1"))
+    with pytest.raises(GraphError) as excinfo:
+        ShadowedGraph(k3, (stray, stray.inverse()))
+    assert str(excinfo.value) == (
+        "arc 'x' leaves 'q', which is not a vertex of graph 'K3'")
+
+
 def test_signed_edge_double_inverse():
     e = EdgeRecord("e", "a", "b")
     arc = SignedEdge(e)
@@ -362,3 +376,83 @@ def test_load_error_messages(build, message):
         build()
     assert type(excinfo.value) is GraphError
     assert str(excinfo.value) == message
+
+
+_ERROR_CASES = next(mark for mark in test_load_error_messages.pytestmark
+                    if mark.name == "parametrize")
+
+
+@pytest.mark.parametrize(*_ERROR_CASES.args, **_ERROR_CASES.kwargs)
+def test_load_graph_error_messages(build, message, tmp_path, monkeypatch):
+    """Each case of `test_load_error_messages`, with `graph_from_json` of an
+    object replaced by `load_graph` of a file that holds it, gives the same
+    message (the cases that build a DirectedGraph directly run unchanged)."""
+    path = tmp_path / "graph.json"
+
+    def from_file(obj):
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        return load_graph(path)
+
+    monkeypatch.setitem(globals(), "graph_from_json", from_file)
+    test_load_error_messages(build, message)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        # A document shaped like one edge is a graph object with wrong keys.
+        (_edge(), "unknown graph keys: ['dst', 'id', 'src']"),
+        ({**_graph_obj(), "name": _edge()}, "graph name must be a string"),
+        (_graph_obj(("a", "b", _edge())), "vertices must be a list of strings"),
+        ({**_graph_obj(), "edges": _edge()}, "edges must be a list"),
+        (_graph_obj(("a", "b"), _edge(), [_edge(id="f")]),
+         "each edge must be an object"),
+        (_graph_obj(("a", "b"), _edge(), _edge(id=_edge(id="f"))),
+         "edge id/src/dst must be strings"),
+    ],
+    ids=["edge-document", "edge-as-name", "edge-as-vertex", "edge-as-edges",
+         "edge-in-list", "edge-as-id"],
+)
+def test_edge_shaped_objects_elsewhere(obj, message, tmp_path):
+    """`load_graph` makes each edge-shaped object an EdgeRecord while it
+    parses; wherever that object is, the error is the one for the dict."""
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    for load in (lambda: graph_from_json(obj), lambda: load_graph(path)):
+        with pytest.raises(GraphError) as excinfo:
+            load()
+        assert type(excinfo.value) is GraphError
+        assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("entry", [EdgeRecord("e", "a", "b"), ("e", "a", "b")],
+                         ids=["edge-record", "tuple"])
+def test_graph_from_json_takes_no_record_for_an_edge(entry):
+    with pytest.raises(GraphError) as excinfo:
+        graph_from_json(_graph_obj(("a", "b"), entry))
+    assert str(excinfo.value) == "each edge must be an object"
+
+
+def test_graph_from_json_accepts_a_dict_subclass_edge():
+    class Entry(dict):
+        pass
+
+    graph = graph_from_json(_graph_obj(("a", "b"), Entry(_edge())))
+    assert graph.edges == (EdgeRecord("e", "a", "b"),)
+    assert type(graph.edges[0]) is EdgeRecord
+
+
+def test_load_graph_keeps_no_dict_per_edge(tmp_path):
+    """Loading peaks at the graph it keeps plus the file text, not plus a
+    dict per edge (that was 1.9 times the graph on this input)."""
+    path = tmp_path / "k5000.json"
+    save_graph(family("circulant", 5000), path)
+    tracemalloc.start()
+    try:
+        graph = load_graph(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph == family("circulant", 5000)
+    assert type(graph.edges[0]) is EdgeRecord
+    assert peak < 1.7 * kept
