@@ -287,24 +287,20 @@ def _cmd_compare(args) -> dict:
 def _tree_to_json(root) -> dict:
     """The payload of a vertex tree, one dict per distinct node: shared
     subtrees share their dicts and lists."""
-    payloads: dict[int, dict] = {}
+    return _node_payload(root, {})
 
-    def convert(node) -> dict:
-        payload = payloads.get(id(node))
-        if payload is None:
-            payload = payloads[id(node)] = {
-                "vertex": node.vertex,
-                "arc": None if node.arc is None else node.arc.token,
-                "children": [convert(child) for child in node.children],
-            }
-        return payload
 
-    try:
-        return convert(root)
-    finally:
-        # `convert` refers to itself: unbound, it and `payloads` are freed
-        # now, not at the next cyclic collection.
-        del convert
+def _node_payload(node, payloads: dict) -> dict:
+    """The payload of `node`, built once: `payloads` keeps the payload of
+    each node converted by node id."""
+    payload = payloads.get(id(node))
+    if payload is None:
+        payload = payloads[id(node)] = {
+            "vertex": node.vertex,
+            "arc": None if node.arc is None else node.arc.token,
+            "children": [_node_payload(child, payloads) for child in node.children],
+        }
+    return payload
 
 
 def _cmd_tree(args) -> dict:
@@ -426,82 +422,75 @@ def json_text(value, *, ensure_ascii: bool = False) -> str:
 
     One recursive pass (one call per nesting level, as in the stdlib encoder)
     writes into a StringIO buffer. The stdlib encoder cannot use its C
-    accelerator with `indent`; this writer is several times faster. A list or
-    tuple met a second time at the same indent (a shared subtree of a vertex
-    tree) is rendered apart and its text kept, so later visits write that
-    text; lists met once cost one dict entry.
+    accelerator with `indent`; this writer is several times faster.
     """
-    encode = encode_basestring_ascii if ensure_ascii else encode_basestring
-    # (id, indent) of each list seen: None after the first visit, the text
-    # from the second on.
-    texts: dict[tuple[int, str], str | None] = {}
     buffer = io.StringIO()
     write = buffer.write
-
-    def put(o, pad: str) -> None:
-        nonlocal write
-        if isinstance(o, str):
-            write(encode(o))
-        elif o is None:
-            write("null")
-        elif o is True:
-            write("true")
-        elif o is False:
-            write("false")
-        elif isinstance(o, int):
-            write(int.__repr__(o))
-        elif isinstance(o, dict):
-            if not o:
-                write("{}")
-                return
-            inner = pad + "  "
-            sep = "{" + inner
-            for key, item in o.items():
-                write(sep)
-                write(encode(key))
-                write(": ")
-                put(item, inner)
-                sep = "," + inner
-            write(pad + "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                write("[]")
-                return
-            key = (id(o), pad)
-            text = texts.get(key)
-            if text is not None:
-                write(text)
-                return
-            part = None
-            if key in texts:
-                outer, part = write, io.StringIO()
-                write = part.write
-            else:
-                texts[key] = None
-            inner = pad + "  "
-            sep = "[" + inner
-            for item in o:
-                write(sep)
-                put(item, inner)
-                sep = "," + inner
-            write(pad + "]")
-            if part is not None:
-                write = outer
-                text = texts[key] = part.getvalue()
-                write(text)
-        else:
-            raise TypeError(
-                f"Object of type {type(o).__name__} is not JSON serializable"
-            )
-
-    try:
-        put(value, "\n")
-    finally:
-        # `put` refers to itself: unbound, it, `texts` and the buffer are
-        # freed on return, so the report text is all that is left.
-        del put
+    _write_json(value, "\n", write,
+                encode_basestring_ascii if ensure_ascii else encode_basestring, {})
     write("\n")
     return buffer.getvalue()
+
+
+def _write_json(o, pad: str, write, encode, texts: dict) -> None:
+    """Write the JSON text of `o` at indent `pad` through `write`. A list or
+    tuple met a second time at the same indent (a shared subtree of a vertex
+    tree) is rendered apart and its text kept, so later visits write that
+    text; lists met once cost one dict entry. `texts` holds, by (id, indent)
+    of each list seen, None after its first visit and its text from the
+    second on."""
+    if isinstance(o, str):
+        write(encode(o))
+    elif o is None:
+        write("null")
+    elif o is True:
+        write("true")
+    elif o is False:
+        write("false")
+    elif isinstance(o, int):
+        write(int.__repr__(o))
+    elif isinstance(o, dict):
+        if not o:
+            write("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in o.items():
+            write(sep)
+            write(encode(key))
+            write(": ")
+            _write_json(item, inner, write, encode, texts)
+            sep = "," + inner
+        write(pad + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            write("[]")
+            return
+        key = (id(o), pad)
+        text = texts.get(key)
+        if text is not None:
+            write(text)
+            return
+        part, out = None, write
+        if key in texts:
+            part = io.StringIO()
+            out = part.write
+        else:
+            texts[key] = None
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in o:
+            out(sep)
+            _write_json(item, inner, out, encode, texts)
+            sep = "," + inner
+        out(pad + "]")
+        if part is not None:
+            text = texts[key] = part.getvalue()
+            write(text)
+    else:
+        raise TypeError(
+            f"Object of type {type(o).__name__} is not JSON serializable"
+        )
 
 
 def _envelope(command: str, **fields) -> dict:

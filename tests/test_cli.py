@@ -322,6 +322,23 @@ def test_deep_tree_is_budget_error(capsys, tmp_path):
     assert json.loads(stdout)["error"]["type"] == "LimitError"
 
 
+@pytest.mark.parametrize("fmt, key", [("json", '"children":'),
+                                      ("text", "children:")])
+def test_writers_nest_one_level_per_call(tmp_path, fmt, key):
+    """A tree 450 levels deep is still written in a fresh interpreter: one
+    more call per nesting level in a writer would exceed the recursion
+    limit. The report is scanned, not parsed: `json.loads` recurses too."""
+    save_graph(family("star", 1), tmp_path / "t11.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(fractaloid.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "fractaloid", "tree", str(tmp_path / "t11.json"),
+         "--root", "v1", "--depth", "450", "--format", fmt],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout.count(key) == 451
+
+
 def test_label_subcommand(capsys, workdir):
     code, stdout, _ = run_cli(capsys, "label", str(workdir / "o2.json"))
     assert code == 0

@@ -207,16 +207,16 @@ def test_shadow_degree_is_total_degree():
     assert len(sh.arcs) == 2 * len(g.edges)
 
 
-def test_hand_built_shadow_with_faulty_arcs_is_a_graph_error():
+def test_shadowed_graph_is_built_from_its_base_alone():
     k3 = family("circulant", 3)
-    with pytest.raises(GraphError) as excinfo:
-        ShadowedGraph(k3, shadow(k3).arcs[:3])
-    assert str(excinfo.value) == "arc 'e1' has no reverse 'e1~' among the arcs"
-    stray = SignedEdge(EdgeRecord("x", "q", "v1"))
-    with pytest.raises(GraphError) as excinfo:
-        ShadowedGraph(k3, (stray, stray.inverse()))
-    assert str(excinfo.value) == (
-        "arc 'x' leaves 'q', which is not a vertex of graph 'K3'")
+    shadowed = ShadowedGraph(k3)
+    assert shadowed == shadow(k3)
+    with pytest.raises(TypeError):
+        ShadowedGraph(k3, shadow(k3).arcs)
+    m = len(k3.edges)
+    assert shadowed.arcs[:m] == tuple(SignedEdge(e, False) for e in k3.edges)
+    assert shadowed.arcs[m:] == tuple(SignedEdge(e, True) for e in k3.edges)
+    assert shadowed.reverse == tuple(range(m, 2 * m)) + tuple(range(m))
 
 
 def test_signed_edge_double_inverse():
