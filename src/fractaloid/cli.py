@@ -323,15 +323,9 @@ def _cmd_matrix(args) -> dict:
     graph = load_graph(args.graph)
     cap = _resolve_max_states(args)
     op = truncated_radial_matrix(graph, args.depth, max_words=cap)
-    diagonal = [
-        {
-            "n": n,
-            "per_vertex": {
-                v: str(op.power_diagonal(v, n)) for v in graph.vertices
-            },
-        }
-        for n in range(1, args.depth + 1)
-    ]
+    powers = {v: op.power_diagonals(v, args.depth) for v in graph.vertices}
+    diagonal = [{"n": n, "per_vertex": {v: str(d[n]) for v, d in powers.items()}}
+                for n in range(1, args.depth + 1)]
     return {
         "graph": graph.name,
         "depth": args.depth,
@@ -529,6 +523,11 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    # Counts are exact and printed in full: lift the int-to-str digit limit
+    # (3.11, and 3.10.7 on) for the run, and restore the caller's on return.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         try:
             payload = args.handler(args)
@@ -542,6 +541,9 @@ def main(argv: list[str] | None = None) -> int:
         except RecursionError:
             # Vertex trees and their JSON and text renderings recurse per level.
             raise LimitError(f"{args.command}: input nests too deeply") from None
+        except OverflowError:
+            # A size no list can have, such as `lattice --max-n 10**21`.
+            raise LimitError(f"{args.command}: input too large to index") from None
         return 0
     except FractaloidError as exc:
         if isinstance(exc, ParameterError):
@@ -557,3 +559,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return code
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

@@ -423,10 +423,12 @@ def load_graph(path: str | Path) -> DirectedGraph:
     """`graph_from_json` of the file at `path`, with the same errors, built
     without a dict per edge."""
     try:
+        # No number is valid in a graph file, so an integer literal is read
+        # as a float: a huge one then costs no quadratic int conversion.
         obj = json.loads(Path(path).read_text(encoding="utf-8"),
-                         object_hook=_parsed_edge)
+                         object_hook=_parsed_edge, parse_int=float)
     except ValueError as exc:
-        # JSONDecodeError, UnicodeDecodeError and the int-digit limit alike.
+        # JSONDecodeError and UnicodeDecodeError alike.
         raise GraphError(f"malformed graph JSON in {path}: {exc}") from exc
     if type(obj) is EdgeRecord:
         # The document itself was one edge object: it fails as graph JSON.

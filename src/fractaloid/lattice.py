@@ -1,7 +1,7 @@
 """Lattice paths over the steps (1, +-e^k), the axis property, and the count
-of axis paths of a given length by three routes: brute force, which walks
-the (2N)^(n/2) step sequences of half an even length n once and pairs their
-end balances (an odd n walks none); the stripping recurrence over balanced
+of axis paths of a given length by three routes: brute force, which tallies
+the step sequences of half an even length n by end balance and pairs them
+(an odd n tallies none); the stripping recurrence over balanced
 step multisets, summed one exponent at a time; and the closed forms C(2h, h)
 and C(2h, h)^2 for N = 1, 2.
 
@@ -52,22 +52,21 @@ def has_axis_property(path: LatticePath) -> bool:
 def count_axis_paths_bruteforce(
     n_bound: int, length: int, *, max_paths: int = DEFAULT_MAX_PATHS
 ) -> int:
-    """Count axis paths by walking the step sequences of half the length.
+    """Count axis paths by tallying the step sequences of half the length.
 
-    Each step +k must be undone by a step -k, so an odd length gives 0 and
-    nothing is walked. A sequence of even length n returns to the axis
-    exactly when its last n/2 steps undo the per-exponent balance of its
-    first n/2. Both halves range over the same n/2-step sequences, so each
-    is walked once, one at a time, and its end balance b tallied; the count
-    is the sum of tally[b] * tally[-b]. That is (2N)^(n/2) walked sequences
-    in place of (2N)^n. No binomial or step multiset is used, so the count
-    stays an independent oracle for the recurrence and the closed forms.
+    Each step +k must be undone by a step -k, so an odd length gives 0. A
+    sequence of even length n returns to the axis exactly when its last n/2
+    steps undo the per-exponent balance b of its first n/2. The n/2-step
+    sequences are tallied by b one step at a time; flipping every sign maps
+    those ending at b onto those ending at -b, so the count is the sum of
+    tally[b]^2. No binomial or step multiset is used, so the count stays an
+    independent oracle for the recurrence and the closed forms.
 
-    The budget still counts the (2N)^n sequences the count covers, and is
-    checked before the parity, so the routes that may run and the errors
-    they give do not depend on how the count is computed. Balances are
-    sparse (nonzero exponents only), so the memory is bounded by the tally's
-    (2N)^(n/2) <= sqrt(max_paths) entries, whatever N is.
+    The budget counts the (2N)^n sequences the count covers, and is checked
+    before the parity, so the routes that may run and the errors they give
+    do not depend on how the count is computed. Balances are sparse (nonzero
+    exponents only), and at most two tallies of at most (2N)^(n/2) <=
+    sqrt(max_paths) balances are held, whatever N is.
     """
     if n_bound < 1:
         raise ParameterError(f"step bound must be >= 1, got {n_bound}")
@@ -81,29 +80,18 @@ def count_axis_paths_bruteforce(
         )
     if length % 2:
         return 0
-    balance: dict[int, int] = {}
-    tally: Counter[tuple[tuple[int, int], ...]] = Counter()
-
-    def walk(remaining: int) -> None:
-        if remaining == 0:
-            tally[tuple(sorted(balance.items()))] += 1
-            return
-        for k in range(1, n_bound + 1):
-            before = balance.get(k, 0)
-            for after in (before + 1, before - 1):
-                if after:
-                    balance[k] = after
-                else:
-                    del balance[k]
-                walk(remaining - 1)
-            if before:
-                balance[k] = before
-            else:
-                del balance[k]
-
-    walk(length // 2)
-    return sum(count * tally[tuple((k, -b) for k, b in end)]
-               for end, count in tally.items())
+    tally: Counter[tuple[tuple[int, int], ...]] = Counter({(): 1})
+    for _ in range(length // 2):
+        stepped: Counter[tuple[tuple[int, int], ...]] = Counter()
+        for end, count in tally.items():
+            balance = dict(end)
+            for k in range(1, n_bound + 1):
+                before = balance.get(k, 0)
+                for after in (before + 1, before - 1):
+                    moved = {**balance, k: after}.items()
+                    stepped[tuple(sorted(pair for pair in moved if pair[1]))] += count
+        tally = stepped
+    return sum(count * count for count in tally.values())
 
 
 def tuple_coefficient(values: tuple[int, ...]) -> int:

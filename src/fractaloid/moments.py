@@ -166,8 +166,8 @@ class TruncatedOperator(Frozen):
     its start, so power diagonals are exact for exponents <= 2 * depth + 1.
 
     The first |V| basis words are the vertex units in declaration order, so
-    `power_diagonal` finds a unit by its vertex's position; `index`, the
-    position of every basis word, is built only when read."""
+    `power_diagonals` walks a unit's column from its vertex's position;
+    `index`, the position of every basis word, is built only when read."""
 
     _fields = ("graph", "depth", "basis", "columns")
     # The instance dict holds what `cached_property` computes.
@@ -195,18 +195,24 @@ class TruncatedOperator(Frozen):
 
     def power_diagonal(self, v: str, n: int) -> int:
         """Diagonal entry of the n-th power at the unit word of `v`."""
-        if n < 0:
-            raise ParameterError(f"power must be >= 0, got {n}")
+        return self.power_diagonals(v, n)[n]
+
+    def power_diagonals(self, v: str, n_max: int) -> list[int]:
+        """Diagonal entries of the powers 0..n_max at the unit word of `v`,
+        read off one walk of the unit's column through the powers."""
+        if n_max < 0:
+            raise ParameterError(f"power must be >= 0, got {n_max}")
         self.graph.require_vertex(v)
         start = self.graph.vertices.index(v)
-        vec = {start: 1}
-        for _ in range(n):
+        vec, diagonals = {start: 1}, [1]
+        for _ in range(n_max):
             nxt: dict[int, int] = {}
             for col, value in vec.items():
                 for row, entry in self.columns[col].items():
                     nxt[row] = nxt.get(row, 0) + entry * value
             vec = nxt
-        return vec.get(start, 0)
+            diagonals.append(vec.get(start, 0))
+        return diagonals
 
 
 def truncated_radial_matrix(
@@ -274,14 +280,8 @@ def verify_moment_theorem(
             raise FractaloidError(
                 f"moment of fractal graph {graph.name!r} is unexpectedly non-scalar"
             )
-        rows.append(
-            MomentComparisonRow(
-                n=moment.n,
-                walk=scalar,
-                tree=tree[moment.n],
-                lattice=lattice[moment.n],
-            )
-        )
+        rows.append(MomentComparisonRow(moment.n, scalar, tree[moment.n],
+                                        lattice[moment.n]))
     return MomentComparisonReport(graph.name, pair.n_zero, rows)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -164,6 +165,61 @@ def test_lattice_brute_force_fails_at_first_over_budget_length(capsys, monkeypat
     # there without enumerating any shorter length.
     assert requested == [20]
     assert "1048576 paths" in json.loads(stdout)["error"]["message"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_budget_message_prints_a_total_of_any_size(capsys, fmt):
+    # (2 * 10^4298)^2 = 4 * 10^8596 is twice the int-to-str digit limit of
+    # Python 3.11 (and 3.10.7 onwards).
+    code, stdout, err = run_cli(
+        capsys, "lattice", "--N", "1" + "0" * 4298, "--max-n", "2",
+        "--max-paths", "1" + "0" * 4299, "--method", "brute", "--format", fmt)
+    assert code == 3
+    total = "4" + "0" * 8596
+    message = json.loads(stdout)["error"]["message"] if fmt == "json" else err
+    assert f" {total} paths exceeds" in message
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit before 3.10.7")
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--N", "2", "--max-n", "4"],
+    ["lattice", "--N", "3", "--max-n", "14", "--method", "brute"],
+    ["lattice", "--N", "0"],
+], ids=["report", "budget", "usage"])
+def test_main_restores_the_int_digit_limit(capsys, argv):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        main(argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+    capsys.readouterr()
+
+
+def test_unindexable_max_n_is_limit_error(capsys):
+    code, stdout, _ = run_cli(capsys, "lattice", "--N", "1", "--max-n",
+                              "1" + "0" * 21, "--method", "recurrence")
+    assert code == 3
+    error = json.loads(stdout)["error"]
+    assert error == {"type": "LimitError",
+                     "message": "lattice: input too large to index"}
+
+
+def test_matrix_walks_each_diagonal_once(capsys, monkeypatch, workdir):
+    walk = fractaloid.moments.TruncatedOperator.power_diagonals
+    requested = []
+
+    def recording(self, v, n_max):
+        requested.append((v, n_max))
+        return walk(self, v, n_max)
+
+    monkeypatch.setattr(fractaloid.moments.TruncatedOperator, "power_diagonals",
+                        recording)
+    code, _, _ = run_cli(capsys, "matrix", str(workdir / "k3.json"), "--depth", "5")
+    assert code == 0
+    assert requested == [("v1", 5), ("v2", 5), ("v3", 5)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -376,6 +432,19 @@ def test_malformed_graph_file(capsys, tmp_path, content):
     code, stdout, _ = run_cli(capsys, "check", str(bad))
     assert code == 2
     assert json.loads(stdout)["error"]["type"] == "GraphError"
+
+
+def test_huge_integer_literal_fails_fast(capsys, tmp_path):
+    # No number is valid in a graph file; a 10^6-digit one is never converted.
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"name": "g", "vertices": [' + "7" * 10**6 + '], "edges": []}',
+                   encoding="utf-8")
+    start = time.perf_counter()
+    code, stdout, _ = run_cli(capsys, "check", str(bad))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(stdout)["error"] == {
+        "type": "GraphError", "message": "vertices must be a list of strings"}
 
 
 def test_duplicate_edge_id_names_offender(capsys, tmp_path):

@@ -1,8 +1,9 @@
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, product
 
 import pytest
 
@@ -164,6 +165,34 @@ def test_recurrence_matches_bruteforce():
             assert count_axis_paths_bruteforce(
                 n_bound, length, max_paths=(2 * n_bound) ** length
             ) == walk_every_sequence(n_bound, length)
+
+
+def test_bruteforce_matches_literal_enumeration():
+    # Every step sequence spelled out and tested for the axis property.
+    for n_bound in (1, 2, 3):
+        steps = [k for k in range(-n_bound, n_bound + 1) if k]
+        length = 0
+        while (2 * n_bound) ** length <= 10**5:
+            expected = sum(has_axis_property(LatticePath(seq, n_bound))
+                           for seq in product(steps, repeat=length))
+            assert count_axis_paths_bruteforce(n_bound, length) == expected, (
+                n_bound, length)
+            length += 1
+
+
+def test_bruteforce_does_not_recurse():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    # Half the length is more steps than frames are left under the limit.
+    length = 2 * (depth + 100)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        count = count_axis_paths_bruteforce(1, length, max_paths=2**length)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert count == math.comb(length, length // 2)
 
 
 def test_bruteforce_matches_recurrence_at_default_budget():

@@ -182,6 +182,39 @@ def test_power_diagonal_unknown_vertex():
     assert str(excinfo.value) == f"vertex 'x' not in graph {T21.name!r}"
 
 
+def _dense_power_diagonal(op, v, n):
+    # The n-th power applied to the unit of v by dense products, from scratch.
+    size = len(op.basis)
+    matrix = [[op.columns[col].get(row, 0) for col in range(size)]
+              for row in range(size)]
+    start = op.graph.vertices.index(v)
+    vec = [int(i == start) for i in range(size)]
+    for _ in range(n):
+        vec = [sum(a * b for a, b in zip(line, vec)) for line in matrix]
+    return vec[start]
+
+
+def test_power_diagonals_list_every_power():
+    for g in (O1, O2, GE, T21, K3, C3, K3O1, family("path", 3)):
+        op = truncated_radial_matrix(g, 2)
+        for v in g.vertices:
+            diagonals = op.power_diagonals(v, 9)
+            assert diagonals == [op.power_diagonal(v, n) for n in range(10)]
+            assert diagonals == [_dense_power_diagonal(op, v, n)
+                                 for n in range(10)], (g.name, v)
+
+
+def test_power_diagonals_errors():
+    op = truncated_radial_matrix(T21, 2)
+    for read in (op.power_diagonal, op.power_diagonals):
+        with pytest.raises(UnknownVertexError) as excinfo:
+            read("x", 2)
+        assert str(excinfo.value) == f"vertex 'x' not in graph {T21.name!r}"
+        with pytest.raises(ParameterError) as excinfo:
+            read("v1", -1)
+        assert str(excinfo.value) == "power must be >= 0, got -1"
+
+
 def test_basis_positions():
     op = truncated_radial_matrix(T21, 3)
     # The vertex units lead the basis in declaration order.

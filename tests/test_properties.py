@@ -122,6 +122,21 @@ def test_first_return_moments_match_matrix_and_tree(graph):
 
 
 @settings(max_examples=60, deadline=None)
+@given(small_multigraphs(), st.integers(0, 3), st.integers(1, 8))
+def test_power_diagonals_list_every_power(graph, depth, n_max):
+    op = truncated_radial_matrix(graph, depth)
+    moments = radial_moments(graph, n_max)
+    for v in graph.vertices:
+        diagonals = op.power_diagonals(v, n_max)
+        assert diagonals == [op.power_diagonal(v, n) for n in range(n_max + 1)]
+        # Exact up to the order whose closed walks leave the basis.
+        assert diagonals[0] == 1 and all(
+            diagonals[n] == moments[n - 1].per_vertex[v]
+            for n in range(1, min(n_max, 2 * depth + 1) + 1)
+        )
+
+
+@settings(max_examples=60, deadline=None)
 @given(small_multigraphs(), st.data())
 def test_groupoid_axioms(graph, data):
     words = enumerate_words(shadow(graph), 3)
