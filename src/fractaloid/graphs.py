@@ -48,7 +48,8 @@ class DirectedGraph(Frozen):
     token of that edge's shadow). Declaration order of vertices and edges
     is preserved and significant for serialization and derived labelings.
     `_out`, `_in` and `_edge_by_id` are derived, and left out of equality
-    and repr; other modules read the first two through `degree_table`.
+    and repr; `_out` and `_in` hold each vertex's out- and in-degree (counts,
+    not edges), and other modules read them through `degree_table`.
     """
 
     __slots__ = ("name", "vertices", "edges", "_out", "_in", "_edge_by_id")
@@ -57,13 +58,13 @@ class DirectedGraph(Frozen):
     def __init__(
         self, name: str, vertices: tuple[str, ...], edges: tuple[EdgeRecord, ...]
     ) -> None:
-        outgoing: dict[str, list[EdgeRecord]] = {}
+        outgoing: dict[str, int] = {}
         for v in vertices:
             _check_token(v, "vertex id")
             if v in outgoing:
                 raise GraphError(f"duplicate vertex id {v!r} in graph {name!r}")
-            outgoing[v] = []
-        incoming: dict[str, list[EdgeRecord]] = {v: [] for v in outgoing}
+            outgoing[v] = 0
+        incoming = dict(outgoing)
         edge_by_id: dict[str, EdgeRecord] = {}
         for e in edges:
             edge_id = e.id
@@ -77,15 +78,15 @@ class DirectedGraph(Frozen):
                     f"edge id {edge_id!r} collides with a vertex id "
                     f"in graph {name!r}"
                 )
-            sources = outgoing.get(e.src)
-            if sources is None:
-                raise GraphError(f"edge {edge_id!r} has undeclared source {e.src!r}")
-            targets = incoming.get(e.dst)
-            if targets is None:
-                raise GraphError(f"edge {edge_id!r} has undeclared target {e.dst!r}")
+            src = e.src
+            if src not in outgoing:
+                raise GraphError(f"edge {edge_id!r} has undeclared source {src!r}")
+            dst = e.dst
+            if dst not in incoming:
+                raise GraphError(f"edge {edge_id!r} has undeclared target {dst!r}")
             edge_by_id[edge_id] = e
-            sources.append(e)
-            targets.append(e)
+            outgoing[src] += 1
+            incoming[dst] += 1
         # The shadow of edge `a` prints as `a~`, so no edge may be named so.
         for edge_id in edge_by_id:
             if edge_id[-1] == "~" and edge_id[:-1] in edge_by_id:
@@ -93,11 +94,8 @@ class DirectedGraph(Frozen):
                     f"edge id {edge_id!r} collides with the shadow of edge "
                     f"{edge_id[:-1]!r} in graph {name!r}"
                 )
-        self._set(
-            name=name, vertices=vertices, edges=edges, _edge_by_id=edge_by_id,
-            _out={v: tuple(es) for v, es in outgoing.items()},
-            _in={v: tuple(es) for v, es in incoming.items()},
-        )
+        self._set(name=name, vertices=vertices, edges=edges,
+                  _out=outgoing, _in=incoming, _edge_by_id=edge_by_id)
 
     def contains_edge(self, edge: EdgeRecord) -> bool:
         return self._edge_by_id.get(edge.id) == edge
@@ -107,25 +105,25 @@ class DirectedGraph(Frozen):
             raise UnknownVertexError(f"vertex {v!r} not in graph {self.name!r}")
 
     def out_edges(self, v: str) -> tuple[EdgeRecord, ...]:
+        """The edges leaving `v`, in edge order; one pass over the edges."""
         self.require_vertex(v)
-        return self._out[v]
+        return tuple(e for e in self.edges if e.src == v)
 
     def in_edges(self, v: str) -> tuple[EdgeRecord, ...]:
+        """The edges entering `v`, in edge order; one pass over the edges."""
         self.require_vertex(v)
-        return self._in[v]
+        return tuple(e for e in self.edges if e.dst == v)
 
     def degrees(self, v: str) -> VertexDegrees:
         """Out-, in-, and total degree of `v`; a loop adds 1 to each side."""
         self.require_vertex(v)
-        out = len(self._out[v])
-        inc = len(self._in[v])
+        out, inc = self._out[v], self._in[v]
         return VertexDegrees(out, inc, out + inc)
 
     def degree_table(self) -> Iterator[tuple[str, int, int]]:
         """`(v, out-degree, in-degree)` of every vertex in declaration order,
-        in one pass over the derived tables (which share that key order)."""
-        return zip(self._out, map(len, self._out.values()),
-                   map(len, self._in.values()))
+        in one pass over the degree counts (which share that key order)."""
+        return zip(self._out, self._out.values(), self._in.values())
 
     def edge_multiplicities(self) -> Counter:
         """Multiset of (src, dst) pairs; the key datum for isomorphism search."""
@@ -320,26 +318,23 @@ def iterated_glue_loops(graph: DirectedGraph, n: int) -> DirectedGraph:
 
 
 def is_connected(graph: DirectedGraph) -> bool:
-    """True iff the underlying undirected multigraph is connected.
-
-    The empty graph counts as disconnected; a single isolated vertex is
-    connected.
-    """
-    if not graph.vertices:
-        return False
-    seen = {graph.vertices[0]}
-    stack = [graph.vertices[0]]
-    while stack:
-        u = stack.pop()
-        for e in graph._out[u]:
-            if e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
-        for e in graph._in[u]:
-            if e.src not in seen:
-                seen.add(e.src)
-                stack.append(e.src)
-    return len(seen) == len(graph.vertices)
+    """True iff the underlying undirected multigraph is connected: a
+    union-find over the edge list (path halving, no recursion). The empty
+    graph counts as disconnected; a single isolated vertex is connected."""
+    parent = {v: v for v in graph.vertices}
+    parts = len(parent)
+    for e in graph.edges:
+        a, b = e.src, e.dst
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            parts -= 1
+            if parts == 1:
+                return True
+    return parts == 1
 
 
 # --- canonical JSON form ---------------------------------------------------

@@ -48,8 +48,8 @@ def graph_isomorphic(
     mult1 = g1.edge_multiplicities()
     mult2 = g2.edge_multiplicities()
     # A vertex's profile: out-degree, in-degree and loop count.
-    profiles1 = {v: (*g1.degrees(v)[:2], mult1[v, v]) for v in g1.vertices}
-    profiles2 = {v: (*g2.degrees(v)[:2], mult2[v, v]) for v in g2.vertices}
+    profiles1 = {v: (out, inc, mult1[v, v]) for v, out, inc in g1.degree_table()}
+    profiles2 = {v: (out, inc, mult2[v, v]) for v, out, inc in g2.degree_table()}
     if Counter(profiles1.values()) != Counter(profiles2.values()):
         return None
     if Counter(mult1.values()) != Counter(mult2.values()):

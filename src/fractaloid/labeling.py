@@ -86,8 +86,11 @@ def canonical_labeling(graph: DirectedGraph) -> Labeling:
     n = max_out_degree(graph)
     regular = n >= 1 and all(out == inc == n for _, out, inc in graph.degree_table())
     assignment: dict[str, int] = {}
+    # Out-edges by source in edge order, in one pass; matchings take them out.
+    remaining: dict[str, list[EdgeRecord]] = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        remaining[e.src].append(e)
     if regular:
-        remaining = {v: list(graph.out_edges(v)) for v in graph.vertices}
         for index in range(1, n + 1):
             matching = _perfect_matching(graph.vertices, remaining)
             if matching is None:
@@ -99,8 +102,8 @@ def canonical_labeling(graph: DirectedGraph) -> Labeling:
                 assignment[e.id] = index
                 remaining[v].remove(e)
     else:
-        for v in graph.vertices:
-            for index, e in enumerate(graph.out_edges(v), start=1):
+        for out in remaining.values():
+            for index, e in enumerate(out, start=1):
                 assignment[e.id] = index
     return Labeling(graph, n, assignment)
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from fractaloid import (
     UnknownVertexError,
     degrees,
     family,
+    fractal_pair,
     glue,
     graph_from_json,
     graph_isomorphic,
@@ -456,3 +458,44 @@ def test_load_graph_keeps_no_dict_per_edge(tmp_path):
     assert graph == family("circulant", 5000)
     assert type(graph.edges[0]) is EdgeRecord
     assert peak < 1.7 * kept
+
+
+def test_load_and_fractality_check_add_little_to_the_graph(tmp_path):
+    """A loaded graph keeps degree counts, not a tuple of edges per vertex
+    and side: loading peaks near the graph it keeps (1.5 times it with the
+    tuples), and `fractal_pair` adds a union-find table, not a visited set
+    and a walk over those tuples (0.3 times the graph with them)."""
+    path = tmp_path / "k5000.json"
+    save_graph(family("circulant", 5000), path)
+    tracemalloc.start()
+    try:
+        graph = load_graph(path)
+        kept, load_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        pair = fractal_pair(graph)
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair == (1, 5000)
+    assert load_peak < 1.3 * kept
+    assert check_peak - kept < 0.2 * kept
+
+
+@pytest.mark.parametrize("shape", ["forward", "backward", "reversed", "in-star"])
+def test_is_connected_on_long_inputs(shape):
+    """200,000 vertices in one chain or around one hub: the union-find takes
+    no recursion and reads only the vertex and edge lists."""
+    size = 200_000
+    vertices = tuple(f"v{i}" for i in range(size))
+    if shape == "in-star":
+        pairs = ((v, vertices[0]) for v in vertices[1:])
+    elif shape == "backward":
+        pairs = zip(vertices[1:], vertices)
+    else:
+        pairs = zip(vertices, vertices[1:])
+    edges = tuple(EdgeRecord(f"e{i}", s, t) for i, (s, t) in enumerate(pairs))
+    if shape == "reversed":
+        edges = edges[::-1]
+    assert is_connected(DirectedGraph(shape, vertices, edges))
+    lone = SimpleNamespace(vertices=vertices + ("lone",), edges=edges)
+    assert not is_connected(lone)

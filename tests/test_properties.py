@@ -24,6 +24,7 @@ from fractaloid import (
     SignedEdge,
     axis_path_counts,
     balanced_tuple_classes,
+    canonical_labeling,
     count_axis_paths_bruteforce,
     empty_word,
     enumerate_words,
@@ -32,6 +33,7 @@ from fractaloid import (
     graph_to_json,
     identically_distributed,
     inverse,
+    is_connected,
     iterated_glue_loops,
     multiply,
     radial_moments,
@@ -58,11 +60,12 @@ ORDER = 6
 
 
 @st.composite
-def small_multigraphs(draw, sizes=st.integers(min_value=1, max_value=4)):
+def small_multigraphs(draw, sizes=st.integers(min_value=1, max_value=4),
+                      max_edges=5):
     size = draw(sizes)
     vertices = tuple(f"v{i}" for i in range(1, size + 1))
     ends = st.sampled_from(vertices)
-    pairs = draw(st.lists(st.tuples(ends, ends), max_size=5))
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=max_edges))
     edges = tuple(EdgeRecord(f"e{i}", s, t) for i, (s, t) in enumerate(pairs, 1))
     return DirectedGraph("G", vertices, edges)
 
@@ -83,6 +86,86 @@ def test_arc_table_states_the_shadow(graph):
     assert list(graph.degree_table()) == [
         (v, *graph.degrees(v)[:2]) for v in graph.vertices
     ]
+
+
+larger_multigraphs = small_multigraphs(st.integers(min_value=1, max_value=6),
+                                       max_edges=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(larger_multigraphs)
+def test_degree_counts_and_edge_lists_match_the_edges(graph):
+    edges = graph.edges
+    table = list(graph.degree_table())
+    assert [v for v, _, _ in table] == list(graph.vertices)
+    for v, out, inc in table:
+        assert out == sum(e.src == v for e in edges)
+        assert inc == sum(e.dst == v for e in edges)
+        assert graph.degrees(v) == (out, inc, out + inc)
+    # Grouped by source (or target), the lists partition the edges, each
+    # list in edge order.
+    for group, end in ((graph.out_edges, "src"), (graph.in_edges, "dst")):
+        positions = []
+        for v in graph.vertices:
+            listed = [edges.index(e) for e in group(v)]
+            assert listed == sorted(listed)
+            assert all(getattr(edges[i], end) == v for i in listed)
+            positions += listed
+        assert sorted(positions) == list(range(len(edges)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(larger_multigraphs)
+def test_is_connected_matches_breadth_first_search(graph):
+    neighbours = {v: set() for v in graph.vertices}
+    for e in graph.edges:
+        neighbours[e.src].add(e.dst)
+        neighbours[e.dst].add(e.src)
+    start = graph.vertices[0]
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [w for u in frontier for w in neighbours[u] - seen]
+        seen.update(frontier)
+    assert is_connected(graph) == (len(seen) == len(graph.vertices))
+
+
+def _assert_distinct_labels(graph, labeling, end, degree_of):
+    for v in graph.vertices:
+        labels = sorted(labeling.assignment[e.id] for e in graph.edges
+                        if getattr(e, end) == v)
+        assert labels == list(range(1, degree_of(v) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(larger_multigraphs)
+def test_canonical_labeling_numbers_each_vertex_out_edges(graph):
+    labeling = canonical_labeling(graph)
+    assert set(labeling.assignment) == {e.id for e in graph.edges}
+    _assert_distinct_labels(graph, labeling, "src",
+                            lambda v: graph.degrees(v).out_degree)
+
+
+@st.composite
+def regular_multigraphs(draw):
+    """A union of N permutations of the vertices: out = in = N everywhere,
+    with loops and parallel edges wherever the permutations put them."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    degree = draw(st.integers(min_value=1, max_value=10 // size))
+    vertices = tuple(f"v{i}" for i in range(1, size + 1))
+    heads = [draw(st.permutations(vertices)) for _ in range(degree)]
+    pairs = [(v, head[i]) for head in heads for i, v in enumerate(vertices)]
+    pairs = draw(st.permutations(pairs))
+    edges = tuple(EdgeRecord(f"e{i}", s, t) for i, (s, t) in enumerate(pairs, 1))
+    return DirectedGraph("R", vertices, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_multigraphs())
+def test_canonical_labeling_of_a_regular_graph_numbers_in_edges_too(graph):
+    labeling = canonical_labeling(graph)
+    degree = labeling.degree_bound
+    for end in ("src", "dst"):
+        _assert_distinct_labels(graph, labeling, end, lambda v: degree)
 
 
 @settings(max_examples=40, deadline=None)
