@@ -329,7 +329,7 @@ def _cmd_matrix(args) -> dict:
     return {
         "graph": graph.name,
         "depth": args.depth,
-        "basis_size": len(op.basis),
+        "basis_size": len(op.columns),
         "symmetric": op.is_symmetric(),
         "diagonal": diagonal,
     }
@@ -539,7 +539,8 @@ def main(argv: list[str] | None = None) -> int:
         except UnicodeEncodeError as exc:
             raise GraphError(f"cannot encode the report: {exc}") from exc
         except RecursionError:
-            # Vertex trees and their JSON and text renderings recurse per level.
+            # `_node_payload`, `_write_json` and `_render_text` recurse per tree
+            # level, and `json.loads` per nesting level of a graph file.
             raise LimitError(f"{args.command}: input nests too deeply") from None
         except OverflowError:
             # A size no list can have, such as `lattice --max-n 10**21`.

@@ -19,7 +19,7 @@ from .errors import FractaloidError, Frozen, LimitError, ParameterError
 from .fractality import fractal_pair
 from .graphs import DirectedGraph, shadow
 from .lattice import axis_path_counts
-from .words import ReducedWord, word_tree
+from .words import ReducedWord, enumerate_words, word_tree
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -165,22 +165,26 @@ class TruncatedOperator(Frozen):
     (vertex units included). A closed walk of length n stays within n / 2 of
     its start, so power diagonals are exact for exponents <= 2 * depth + 1.
 
-    The first |V| basis words are the vertex units in declaration order, so
-    `power_diagonals` walks a unit's column from its vertex's position;
-    `index`, the position of every basis word, is built only when read."""
+    It keeps positions, not words: `columns[i]` is the column of basis word i,
+    and the first |V| positions are the vertex units in declaration order, so
+    `power_diagonals` walks a unit's column from its vertex's position.
+    `basis` (the words of `enumerate_words`, a function of graph and depth)
+    and `index`, the position of every word, are built only when read."""
 
-    _fields = ("graph", "depth", "basis", "columns")
+    _fields = ("graph", "depth", "columns")
     # The instance dict holds what `cached_property` computes.
     __slots__ = _fields + ("__dict__",)
 
     def __init__(
-        self,
-        graph: DirectedGraph,
-        depth: int,
-        basis: list[ReducedWord],
-        columns: list[dict[int, int]],
+        self, graph: DirectedGraph, depth: int, columns: list[dict[int, int]]
     ) -> None:
-        self._set(graph=graph, depth=depth, basis=basis, columns=columns)
+        self._set(graph=graph, depth=depth, columns=columns)
+
+    @cached_property
+    def basis(self) -> list[ReducedWord]:
+        # A budget of exactly the basis size: reading never fails.
+        return enumerate_words(shadow(self.graph), self.depth,
+                               max_words=len(self.columns))
 
     @cached_property
     def index(self) -> dict[ReducedWord, int]:
@@ -219,13 +223,13 @@ def truncated_radial_matrix(
     graph: DirectedGraph, depth: int, *, max_words: int = DEFAULT_MAX_STATES
 ) -> TruncatedOperator:
     """Assemble the truncated radial operator on the length-bounded basis."""
-    basis, parents = word_tree(shadow(graph), depth, max_words)
-    columns: list[dict[int, int]] = [dict() for _ in basis]
+    parents, _ = word_tree(shadow(graph), depth, max_words)
+    columns: list[dict[int, int]] = [dict() for _ in (*graph.vertices, *parents)]
     # Right multiplication by an arc cancels a word's last letter (its parent)
     # or appends the arc (a child): a column holds its parent and children.
     for col, parent in enumerate(parents, len(graph.vertices)):
         columns[col][parent] = columns[parent][col] = 1
-    return TruncatedOperator(graph, depth, basis, columns)
+    return TruncatedOperator(graph, depth, columns)
 
 
 class MomentComparisonRow(NamedTuple):

@@ -7,9 +7,9 @@ yields the empty word, and cancellation at the junction can only shorten a
 product, never kill it.
 
 `_cancels` holds the one cancellation rule; word validation, `multiply` and
-the stack of `reduce_word` use it. The word basis of `word_tree` reads the
-shadow's arc table instead: a word never continues by its last letter's
-reverse (`ShadowedGraph.reverse`).
+the stack of `reduce_word` use it. `word_tree` lays the word basis out as
+integer positions from the shadow's arc table instead: a word never continues
+by its last letter's reverse (`ShadowedGraph.reverse`).
 """
 
 from __future__ import annotations
@@ -194,57 +194,57 @@ def enumerate_words(
     """All vertex words plus all reduced path words of length <= max_len.
 
     Order is deterministic: vertex words in declaration order, then each
-    length level sorted lexicographically by letter tokens.
+    length level sorted lexicographically by letter tokens. The only builder
+    of basis words: each path word is its parent's letters and its last arc.
     """
-    return word_tree(shadowed, max_len, max_words)[0]
+    graph, arcs = shadowed.base, shadowed.arcs
+    words = [vertex_word(graph, v) for v in graph.vertices]
+    for parent, a in zip(*word_tree(shadowed, max_len, max_words)):
+        words.append(_trusted_word(graph, None, words[parent].letters + (arcs[a],)))
+    return words
 
 
 def word_tree(
     shadowed: ShadowedGraph, max_len: int, max_words: int
-) -> tuple[list[ReducedWord], list[int]]:
-    """The words of `enumerate_words` and, for each path word, its parent's
-    position: the word without its last letter (the source unit for one letter)."""
+) -> tuple[list[int], list[int]]:
+    """The path words of `enumerate_words` as positions, in its order: for
+    each, its parent's position (the word without its last letter; the source
+    unit for one letter) and its last arc. No word is built."""
     if max_len < 0:
         raise ParameterError(f"max_len must be >= 0, got {max_len}")
-    graph, arcs, reverse = shadowed.base, shadowed.arcs, shadowed.reverse
+    arcs, reverse = shadowed.arcs, shadowed.reverse
     token = [arc.token for arc in arcs].__getitem__
     # onward[a]: the arcs leaving arc a's target, in token order. A word
     # continues by all of them but its last letter's reverse, always there.
     by_token = {v: sorted(out, key=token) for v, out in shadowed.leaving.items()}
     onward = [by_token[arc.target] for arc in arcs]
-    units = {v: i for i, v in enumerate(graph.vertices)}
-    words = [vertex_word(graph, v) for v in graph.vertices]
-    parents, level, ends = [], [], []  # ends[i]: level[i]'s last letter
+    units = {v: i for i, v in enumerate(shadowed.base.vertices)}
+    parents, ends, level = [], [], range(0)  # level: the last level's places in ends
     for length in range(1, max_len + 1):
         # The budget is checked before the level is built.
         size = (len(arcs) if length == 1
-                else sum(len(onward[a]) - 1 for a in ends))
+                else sum(len(onward[ends[i]]) - 1 for i in level))
         if not size:
             break
-        if len(words) + size > max_words:
+        if len(units) + len(ends) + size > max_words:
             raise LimitError(
                 f"word enumeration exceeded the {max_words}-word budget "
                 f"at length {length}"
             )
         if length == 1:
             ends = sorted(range(len(arcs)), key=token)
-            level = [(arcs[a],) for a in ends]
-            parents = [units[letters[0].source] for letters in level]
+            parents = [units[arcs[a].source] for a in ends]
         else:
             # Parents in sorted order, each extended by arcs in token order:
             # the next level comes out sorted too.
-            nxt, nxt_ends = [], []
-            start = len(words) - len(level)
-            for parent, (letters, a) in enumerate(zip(level, ends), start):
-                back = reverse[a]
-                for b in onward[a]:
+            for i in level:
+                back = reverse[ends[i]]
+                for b in onward[ends[i]]:
                     if b != back:
-                        nxt.append(letters + (arcs[b],))
-                        nxt_ends.append(b)
-                        parents.append(parent)
-            level, ends = nxt, nxt_ends
-        words.extend(_trusted_word(graph, None, letters) for letters in level)
-    return words, parents
+                        parents.append(len(units) + i)
+                        ends.append(b)
+        level = range(level.stop, len(ends))
+    return parents, ends
 
 
 class EdgeBlockType(enum.Enum):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,21 @@ def test_power_diagonals_errors():
         with pytest.raises(ParameterError) as excinfo:
             read("v1", -1)
         assert str(excinfo.value) == "power must be >= 0, got -1"
+
+
+def test_matrix_keeps_positions_not_words():
+    # Circulant 3 at depth 1000 has 6003 basis words on one line each. With
+    # every word's letter tuple the operator kept 26.4 MB; its columns alone
+    # keep 1.7 MB. The basis is built only when read.
+    tracemalloc.start()
+    try:
+        op = truncated_radial_matrix(K3, 1000)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert "basis" not in vars(op)
+    assert len(op.columns) == 6003
+    assert kept < 4_000_000
 
 
 def test_basis_positions():

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -19,6 +20,7 @@ from fractaloid import (
     EdgeRecord,
     DisconnectedGraphError,
     GraphError,
+    LimitError,
     NotFractalError,
     ReducedWord,
     SignedEdge,
@@ -217,6 +219,28 @@ def test_power_diagonals_list_every_power(graph, depth, n_max):
             diagonals[n] == moments[n - 1].per_vertex[v]
             for n in range(1, min(n_max, 2 * depth + 1) + 1)
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_multigraphs(), st.integers(0, 3))
+def test_lazy_basis_is_the_word_enumeration(graph, depth):
+    words = enumerate_words(shadow(graph), depth)
+    op = truncated_radial_matrix(graph, depth)
+    assert op.basis == words and len(op.basis) == len(op.columns)
+    # Built under a budget of exactly its size, the basis can still be read.
+    assert truncated_radial_matrix(graph, depth, max_words=len(words)).basis == words
+    if len(words) > len(graph.vertices):
+        # One word fewer fails alike on both routes.
+        with pytest.raises(LimitError) as matrix_error:
+            truncated_radial_matrix(graph, depth, max_words=len(words) - 1)
+        with pytest.raises(LimitError) as words_error:
+            enumerate_words(shadow(graph), depth, max_words=len(words) - 1)
+        assert str(matrix_error.value) == str(words_error.value)
+    # The read basis is a cache: a copy neither carries nor compares it.
+    unread = truncated_radial_matrix(graph, depth)
+    read_copy, unread_copy = (pickle.loads(pickle.dumps(o)) for o in (op, unread))
+    assert "basis" in vars(op) and "basis" not in vars(read_copy)
+    assert read_copy == unread_copy == unread == op
 
 
 @settings(max_examples=60, deadline=None)
