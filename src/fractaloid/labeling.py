@@ -40,37 +40,34 @@ def _perfect_matching(
 ) -> dict[str, EdgeRecord] | None:
     """One out-edge per source with pairwise distinct targets (augmenting
     paths, searched depth-first on an explicit stack in declaration order)."""
-    match_at_target: dict[str, tuple[str, EdgeRecord]] = {}
-    chosen: dict[str, EdgeRecord] = {}
+    matched: dict[str, EdgeRecord] = {}  # target -> its matched edge
 
     def assign(root: str) -> bool:
         visited: set[str] = set()
-        # Frames: (source, the edge that led to it, its untried edges).
-        stack = [(root, None, iter(edges_by_src[root]))]
+        # Frames: (the edge that led here, the untried edges of its source).
+        stack = [(None, iter(edges_by_src[root]))]
         while stack:
-            for e in stack[-1][2]:
+            for e in stack[-1][1]:
                 if e.dst not in visited:
                     break
             else:
                 stack.pop()
                 continue
             visited.add(e.dst)
-            holder = match_at_target.get(e.dst)
+            holder = matched.get(e.dst)
             if holder is not None:
-                stack.append((holder[0], e, iter(edges_by_src[holder[0]])))
+                stack.append((e, iter(edges_by_src[holder.src])))
                 continue
             while stack:  # flip the path, innermost edge first
-                u, e_in, _ = stack.pop()
-                match_at_target[e.dst] = (u, e)
-                chosen[u] = e
-                e = e_in
+                matched[e.dst] = e
+                e = stack.pop()[0]
             return True
         return False
 
     for u in vertices:
         if not assign(u):
             return None
-    return chosen
+    return {e.src: e for e in matched.values()}
 
 
 def canonical_labeling(graph: DirectedGraph) -> Labeling:

@@ -2,8 +2,8 @@
 of axis paths of a given length by three routes: brute force, which tallies
 the step sequences of half an even length n by end balance and pairs them
 (an odd n tallies none); the stripping recurrence over balanced
-step multisets, summed one exponent at a time; and the closed forms C(2h, h)
-and C(2h, h)^2 for N = 1, 2.
+step multisets, summed over all N exponents by Miller's power rule in
+O(h^2) steps; and the closed forms C(2h, h) and C(2h, h)^2 for N = 1, 2.
 
 Steps are kept symbolic as nonzero integers k with 1 <= |k| <= N; because the
 heights e^1, ..., e^N are rationally independent, a path returns to the axis
@@ -148,19 +148,24 @@ def balanced_tuple_classes(n_bound: int, length: int) -> list[BalancedTupleClass
 def axis_path_counts(n_bound: int, max_length: int) -> list[int]:
     """Axis-path counts of every length 0..max_length, in one pass.
 
-    The stripping recurrence summed one exponent at a time: stripping the j
-    up-steps and j down-steps of the top exponent gives S_1(h) = 1 and
-    S_k(h) = sum_j C(h, j)^2 S_{k-1}(h - j). The count at length 2h is
-    C(2h, h) S_N(h); odd lengths give 0. O(N h^2) integer operations.
+    Stripping the j up- and j down-steps of one exponent at a time gives
+    S_1(h) = 1 and S_k(h) = sum_j C(h, j)^2 S_{k-1}(h - j), so S_N(h) is
+    (h!)^2 [x^h] g(x)^N for g = sum_k x^k / (k!)^2. Miller's rule for powers
+    of a series (Knuth, TAOCP 4.7) gives h S_N(h) = sum_{k=1..h} ((N + 1)k -
+    h) C(h, k)^2 S_N(h - k) in O(h^2) steps whatever N is; the table starts
+    as S_1, so N = 1 runs no rule. Length 2h counts C(2h, h) S_N(h), odd 0.
     """
     if n_bound < 1:
         raise ParameterError(f"step bound must be >= 1, got {n_bound}")
     if max_length < 0:
         raise ParameterError(f"path length must be >= 0, got {max_length}")
-    sums = [1] * (max_length // 2 + 1)
-    for _ in range(n_bound - 1):
-        sums = [sum(comb(h, j) ** 2 * sums[h - j] for j in range(h + 1))
-                for h in range(len(sums))]
+    sums = [1] * (max_length // 2 + 1)  # S_1: N = 1 runs no rule
+    for h in range(1, len(sums) if n_bound > 1 else 1):
+        total, binomial = 0, 1
+        for k in range(1, h + 1):
+            binomial = binomial * (h - k + 1) // k
+            total += ((n_bound + 1) * k - h) * binomial * binomial * sums[h - k]
+        sums[h] = total // h  # exact
     return [0 if n % 2 else comb(n, n // 2) * sums[n // 2]
             for n in range(max_length + 1)]
 

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from itertools import groupby, product
@@ -260,6 +261,19 @@ def test_closed_form_matches_recurrence():
             assert closed_form_count(n_bound, length) == count_axis_paths_recurrence(
                 n_bound, length
             )
+        table = axis_path_counts(n_bound, 400)
+        assert table == [closed_form_count(n_bound, n) for n in range(401)]
+
+
+def test_table_cost_does_not_follow_step_bound():
+    # One power-rule pass over h, whatever N is; one convolution pass per
+    # exponent takes seconds here.
+    start = time.perf_counter()
+    counts = axis_path_counts(2000, 200)
+    assert time.perf_counter() - start < 1.0
+    assert counts[2] == 4000
+    assert counts[4] == 6 * (2 * 2000**2 - 2000)
+    assert not any(counts[1::2])
 
 
 def test_counts_monotone_in_step_bound():
