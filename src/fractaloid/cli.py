@@ -9,6 +9,7 @@ error, 3 computation budget exceeded.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import os
@@ -172,16 +173,20 @@ def _cmd_gen(args) -> dict:
 
 def _cmd_info(args) -> dict:
     graph = load_graph(args.graph)
-    degrees = {v: {"out": out, "in": inc, "total": out + inc}
-               for v, out, inc in graph.degree_table()}
-    return {
+    report = {
         "name": graph.name,
         "vertex_count": len(graph.vertices),
         "edge_count": len(graph.edges),
         "connected": is_connected(graph),
         "max_out_degree": max_out_degree(graph) if graph.vertices else None,
-        "degrees": degrees,
     }
+    table = list(graph.degree_table())
+    # The graph is dropped before the degree object is built, so the two are
+    # never held together.
+    del graph
+    report["degrees"] = {v: {"out": out, "in": inc, "total": out + inc}
+                         for v, out, inc in table}
+    return report
 
 
 def _pair_or_reason(graph) -> tuple[list[int] | None, str | None]:
@@ -504,16 +509,45 @@ def _render(command: str, payload: dict, fmt: str) -> str:
         writer.writerow(header)
         writer.writerows(rows)
         return buffer.getvalue()
-    return "\n".join(_render_text(payload)) + "\n"
+    # One join over the lines and a last empty one gives the final newline
+    # without a second copy of the report.
+    lines = _render_text(payload)
+    lines.append("")
+    return "\n".join(lines)
+
+
+# Reports are checked and written this many characters at a time.
+_SLICE = 1 << 16
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out is not None:
-        # Encoded before the file is opened, so a report that cannot be
-        # encoded leaves the file as it was.
-        args.out.write_bytes(text.encode("utf-8"))
+    """Write the report to stdout, or to the `--out` file, in slices of
+    `_SLICE` characters, so no encoded copy of the whole report is held. A dry
+    pass of one incremental encoder (exact for stateful encodings too) first
+    encodes every slice as the destination does: stdout's own encoding and
+    error handler, or UTF-8 for a file. So a report that cannot be encoded
+    raises, naming its position in the whole report, before anything is
+    written or the file is opened."""
+    if args.out is None:
+        encoding, errors = sys.stdout.encoding, sys.stdout.errors
     else:
-        sys.stdout.write(text)
+        encoding, errors = "utf-8", "strict"
+    slices = range(0, len(text), _SLICE)
+    if encoding is not None:
+        encode = codecs.getincrementalencoder(encoding)(errors).encode
+        for start in slices:
+            try:
+                encode(text[start:start + _SLICE])
+            except UnicodeEncodeError as exc:
+                raise UnicodeEncodeError(exc.encoding, text, exc.start + start,
+                                         exc.end + start, exc.reason) from None
+    if args.out is None:
+        for start in slices:
+            sys.stdout.write(text[start:start + _SLICE])
+    else:
+        with args.out.open("wb") as file:
+            for start in slices:
+                file.write(text[start:start + _SLICE].encode())
 
 
 def main(argv: list[str] | None = None) -> int:

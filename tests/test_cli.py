@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import fractaloid
 from fractaloid import (
     GraphError, family, graph_to_json, load_graph, regularize, save_graph,
 )
-from fractaloid.cli import _tree_to_json, json_text, main
+from fractaloid.cli import _cmd_info, _tree_to_json, build_parser, json_text, main
 from fractaloid.fractality import vertex_tree
 
 
@@ -573,6 +574,131 @@ def test_unencodable_report_is_graph_error(tmp_path):
     assert report["error"]["type"] == "GraphError"
     assert report["exit_code"] == 2
     assert "Traceback" not in result.stderr
+
+
+def _cycle_graph_text(names) -> str:
+    """A graph file of the directed cycle through `names`, in that order,
+    with every non-ASCII character escaped."""
+    edges = [{"id": f"e{i}", "src": v, "dst": names[(i + 1) % len(names)]}
+             for i, v in enumerate(names)]
+    return json.dumps({"name": "cycle", "vertices": list(names), "edges": edges})
+
+
+def _run_module(argv, **env):
+    """Run `python -m fractaloid ARGV` with `env` added to the environment,
+    capturing stdout and stderr as bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fractaloid.__file__).parents[1]),
+               **env)
+    return subprocess.run([sys.executable, "-m", "fractaloid", *argv],
+                          capture_output=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_unencodable_report_past_first_slice(capsys, monkeypatch, tmp_path, fmt):
+    """Reports are written in 64 KiB slices after a dry pass encodes them
+    all: a lone surrogate rendered after the first slice still leaves no
+    partial output, and the error names its position in the whole report."""
+    graph = tmp_path / "g.json"
+    graph.write_text(_cycle_graph_text([f"v{i}" for i in range(3000)] + ["\ud800"]))
+    argv = ["info", str(graph), "--format", fmt]
+    # A StringIO has no encoding, so the report is written as it is.
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(argv) == 0
+    position = sys.stdout.getvalue().index("\ud800")
+    assert position > 1 << 16
+    monkeypatch.undo()
+
+    out = tmp_path / "o.json"
+    out.write_bytes(b"earlier report\n")
+    for extra in ([], ["--out", str(out)]):
+        code, stdout, stderr = run_cli(capsys, *argv, *extra)
+        assert code == 2
+        if fmt == "json":
+            report = json.loads(stdout)
+            assert list(report) == ["schema_version", "command", "error", "exit_code"]
+            message = report["error"]["message"]
+        else:
+            assert stdout == ""
+            message = stderr
+        assert f"in position {position}:" in message
+        assert out.read_bytes() == b"earlier report\n"
+
+
+def test_stdout_error_handler_decides_what_is_written(tmp_path):
+    escaped = tmp_path / "escaped.json"
+    escaped.write_text(_cycle_graph_text(["\udc80"]))
+    result = _run_module(["info", str(escaped)],
+                         PYTHONIOENCODING="utf-8:surrogateescape")
+    assert result.returncode == 0
+    assert b'"\x80": {' in result.stdout
+
+    accented = tmp_path / "accented.json"
+    accented.write_text(_cycle_graph_text(["\u00e9"]))
+    result = _run_module(["info", str(accented)], PYTHONIOENCODING="ascii")
+    assert result.returncode == 2
+    report = json.loads(result.stdout)
+    assert report["error"]["type"] == "GraphError"
+    assert report["error"]["message"].startswith("cannot encode the report:")
+    assert b"Traceback" not in result.stderr
+
+
+def test_report_to_stream_without_encoding_is_unchanged(monkeypatch, tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(UNENCODABLE_GRAPH)
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(["info", str(graph)]) == 0
+    payload = {
+        "name": "s", "vertex_count": 1, "edge_count": 1, "connected": True,
+        "max_out_degree": 1, "degrees": {"\ud800": {"out": 1, "in": 1, "total": 2}},
+    }
+    report = {"schema_version": "1.0", "command": "info", "payload": payload,
+              "warnings": []}
+    assert sys.stdout.getvalue() == json.dumps(report, indent=2,
+                                               ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_tree_report_is_written_without_a_second_copy(monkeypatch, tmp_path, fmt):
+    """The 11 MB vertex tree of complete 4 at depth 6, written to a real
+    file, peaks under 1.85 times the report length: about 1.7 (JSON) and
+    1.55 (text). Encoding the whole report in one piece read 2.0 in both
+    formats, and so did adding the final newline of text as a second join."""
+    save_graph(family("complete", 4), tmp_path / "c4.json")
+    path = tmp_path / "report"
+    with open(path, "w", encoding="utf-8") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        tracemalloc.start()
+        try:
+            code = main(["tree", str(tmp_path / "c4.json"), "--root", "v1",
+                         "--depth", "6", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.85 * len(path.read_text(encoding="utf-8"))
+
+
+def test_info_drops_the_graph_before_the_degrees(tmp_path):
+    """`info` on 20,000 vertices peaks near the loaded graph: about 0.7
+    times the graph and the degree object together, against 0.96 when it
+    held both."""
+    path = tmp_path / "k20000.json"
+    save_graph(family("circulant", 20_000), path)
+    args = build_parser().parse_args(["info", str(path)])
+    tracemalloc.start()
+    try:
+        graph = load_graph(path)
+        kept = tracemalloc.get_traced_memory()[0]
+        del graph
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        payload = _cmd_info(args)
+        degrees, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(payload["degrees"]) == 20_000
+    assert peak < 0.8 * (kept + degrees)
+
 
 def test_text_format(capsys, workdir):
     code, stdout, _ = run_cli(capsys, "check", str(workdir / "k3.json"),
