@@ -9,11 +9,11 @@ error, 3 computation budget exceeded.
 from __future__ import annotations
 
 import argparse
-import codecs
 import csv
 import io
 import os
 import sys
+from contextlib import nullcontext
 from itertools import repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
@@ -420,8 +420,9 @@ def json_text(value, *, ensure_ascii: bool = False) -> str:
     int, bool and None.
 
     One recursive pass (one call per nesting level, as in the stdlib encoder)
-    writes into a StringIO buffer. The stdlib encoder cannot use its C
-    accelerator with `indent`; this writer is several times faster.
+    writes into a StringIO buffer. It exists for shared subtrees: a list met
+    again at the same indent is copied, not rendered again. On other reports
+    it is 1.2 to 2.4 times faster than the stdlib on 3.11, slower on 3.13.
     """
     buffer = io.StringIO()
     write = buffer.write
@@ -520,34 +521,28 @@ def _render(command: str, payload: dict, fmt: str) -> str:
 _SLICE = 1 << 16
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    """Write the report to stdout, or to the `--out` file, in slices of
-    `_SLICE` characters, so no encoded copy of the whole report is held. A dry
-    pass of one incremental encoder (exact for stateful encodings too) first
-    encodes every slice as the destination does: stdout's own encoding and
-    error handler, or UTF-8 for a file. So a report that cannot be encoded
-    raises, naming its position in the whole report, before anything is
-    written or the file is opened."""
-    if args.out is None:
-        encoding, errors = sys.stdout.encoding, sys.stdout.errors
-    else:
-        encoding, errors = "utf-8", "strict"
+def _emit(out: Path | None, text: str) -> None:
+    """Write a report to stdout, or to the file `out`, in slices of `_SLICE`
+    characters, so no encoded copy of the whole report is held. Each slice is
+    first encoded, and the bytes dropped, as the destination encodes it:
+    stdout's own encoding and error handler, or UTF-8 for a file. So a report
+    that cannot be encoded raises, naming its position in the whole report,
+    before anything is written or the file is opened. Every report, error
+    reports included, leaves the program here."""
+    encoding, errors = ((sys.stdout.encoding, sys.stdout.errors) if out is None
+                        else ("utf-8", "strict"))
     slices = range(0, len(text), _SLICE)
-    if encoding is not None:
-        encode = codecs.getincrementalencoder(encoding)(errors).encode
+    if encoding is not None:  # None: a StringIO, which takes any text
         for start in slices:
             try:
-                encode(text[start:start + _SLICE])
+                text[start:start + _SLICE].encode(encoding, errors)
             except UnicodeEncodeError as exc:
                 raise UnicodeEncodeError(exc.encoding, text, exc.start + start,
                                          exc.end + start, exc.reason) from None
-    if args.out is None:
+    with (nullcontext(sys.stdout) if out is None
+          else out.open("w", encoding="utf-8", newline="")) as stream:
         for start in slices:
-            sys.stdout.write(text[start:start + _SLICE])
-    else:
-        with args.out.open("wb") as file:
-            for start in slices:
-                file.write(text[start:start + _SLICE].encode())
+            stream.write(text[start:start + _SLICE])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -567,7 +562,7 @@ def main(argv: list[str] | None = None) -> int:
             payload = args.handler(args)
             # Render in full before writing, so a failed render leaves no
             # partial output.
-            _emit(args, _render(args.command, payload, args.format))
+            _emit(args.out, _render(args.command, payload, args.format))
         except OSError as exc:
             raise GraphError(f"cannot read or write file: {exc}") from exc
         except UnicodeEncodeError as exc:
@@ -590,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "json":
             error = {"type": type(exc).__name__, "message": str(exc)}
             report = _envelope(args.command, error=error, exit_code=code)
-            sys.stdout.write(json_text(report, ensure_ascii=True))
+            _emit(None, json_text(report, ensure_ascii=True))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return code

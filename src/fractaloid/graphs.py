@@ -408,10 +408,10 @@ def _parsed_edge(obj: dict) -> object:
 
 
 def save_graph(graph: DirectedGraph, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(graph_to_json(graph), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    """Write `graph` as indented UTF-8 JSON. The text is encoded before the
+    file is opened, so a graph that cannot be encoded leaves the file as it was."""
+    text = json.dumps(graph_to_json(graph), indent=2, ensure_ascii=False) + "\n"
+    Path(path).write_bytes(text.encode())
 
 
 def load_graph(path: str | Path) -> DirectedGraph:

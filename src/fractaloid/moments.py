@@ -190,6 +190,10 @@ class TruncatedOperator(Frozen):
     def index(self) -> dict[ReducedWord, int]:
         return {word: i for i, word in enumerate(self.basis)}
 
+    @cached_property
+    def _unit_positions(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.graph.vertices)}
+
     def is_symmetric(self) -> bool:
         for col, entries in enumerate(self.columns):
             for row, value in entries.items():
@@ -207,7 +211,7 @@ class TruncatedOperator(Frozen):
         if n_max < 0:
             raise ParameterError(f"power must be >= 0, got {n_max}")
         self.graph.require_vertex(v)
-        start = self.graph.vertices.index(v)
+        start = self._unit_positions[v]
         vec, diagonals = {start: 1}, [1]
         for _ in range(n_max):
             nxt: dict[int, int] = {}

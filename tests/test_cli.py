@@ -819,3 +819,19 @@ def test_report_bytes_are_pinned(capsys, workdir, argv, fmt, expected):
     code, stdout, err = run_cli(capsys, *argv, "--format", fmt)
     digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()[:16]
     assert (code, digest, err) == expected
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    pytest.param(argv, fmt, id=f"{name}-{fmt}")
+    for name, argv, by_format in GOLDEN
+    for fmt, expected in by_format.items() if expected[0] == 0
+])
+def test_out_file_holds_the_bytes_of_stdout(capsys, workdir, argv, fmt):
+    argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
+    code, stdout, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    # Not a *.json file, so `classify` of the workdir does not read it.
+    out = workdir / "report.out"
+    code, written, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(out))
+    assert (code, written) == (0, "")
+    assert out.read_bytes() == stdout.encode("utf-8")

@@ -256,6 +256,16 @@ def test_json_round_trip(tmp_path):
     assert load_graph(path) == g
 
 
+def test_save_graph_that_cannot_be_encoded_leaves_the_file(tmp_path):
+    # A lone surrogate is a valid vertex name but has no UTF-8 encoding.
+    g = DirectedGraph("s", ("\ud800",), (EdgeRecord("e1", "\ud800", "\ud800"),))
+    path = tmp_path / "g.json"
+    path.write_bytes(b"earlier graph\n")
+    with pytest.raises(UnicodeEncodeError):
+        save_graph(g, path)
+    assert path.read_bytes() == b"earlier graph\n"
+
+
 def test_json_key_layout():
     obj = graph_to_json(family("circulant", 2))
     assert list(obj) == ["name", "vertices", "edges"]
