@@ -290,22 +290,21 @@ def _cmd_compare(args) -> dict:
 
 
 def _tree_to_json(root) -> dict:
-    """The payload of a vertex tree, one dict per distinct node: shared
-    subtrees share their dicts and lists."""
+    """The payload of a vertex tree, one dict per distinct node and one list
+    per distinct `children` tuple: shared subtrees share their lists."""
     return _node_payload(root, {})
 
 
-def _node_payload(node, payloads: dict) -> dict:
-    """The payload of `node`, built once: `payloads` keeps the payload of
-    each node converted by node id."""
-    payload = payloads.get(id(node))
-    if payload is None:
-        payload = payloads[id(node)] = {
-            "vertex": node.vertex,
+def _node_payload(node, lists: dict) -> dict:
+    """The payload of `node`; `lists` keeps the children list built for each
+    `children` tuple by tuple id, so each tuple is converted once."""
+    children = lists.get(id(node.children))
+    if children is None:
+        children = lists[id(node.children)] = [
+            _node_payload(child, lists) for child in node.children]
+    return {"vertex": node.vertex,
             "arc": None if node.arc is None else node.arc.token,
-            "children": [_node_payload(child, payloads) for child in node.children],
-        }
-    return payload
+            "children": children}
 
 
 def _cmd_tree(args) -> dict:

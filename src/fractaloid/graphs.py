@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import Frozen, GraphError, ParameterError, UnknownVertexError
 
@@ -134,6 +134,21 @@ def degrees(graph: DirectedGraph, v: str) -> VertexDegrees:
     return graph.degrees(v)
 
 
+def _graph_with_edges(name: str, vertices: tuple[str, ...],
+                      edges: Iterable[tuple[str, str, str]]) -> DirectedGraph:
+    """The graph on `vertices` with `edges`, (preferred id, src, dst) triples
+    in order: the one rule for new edge ids. Each id is primed with `'` until
+    no vertex or earlier edge has it and it is neither `x~` beside an edge
+    `x` nor `x` beside an edge `x~`, so no id rule of `DirectedGraph` fails."""
+    vertex_ids, records = set(vertices), {}
+    for edge_id, src, dst in edges:
+        while (edge_id in vertex_ids or edge_id in records or edge_id + "~" in records
+               or edge_id.endswith("~") and edge_id[:-1] in records):
+            edge_id += "'"
+        records[edge_id] = EdgeRecord(edge_id, src, dst)
+    return DirectedGraph(name, vertices, tuple(records.values()))
+
+
 class SignedEdge(NamedTuple):
     """An edge of the shadowed graph: a base edge traversed forward, or its
     shadow (the same edge traversed backward)."""
@@ -185,17 +200,13 @@ class ShadowedGraph(Frozen):
 
     def as_graph(self) -> DirectedGraph:
         """The shadowed graph as a plain directed graph. The arcs of edge `a`
-        become edges `a+` and `a-`: the tokens `a` and `a~` cannot both be
-        edge ids, since `a~` is also the token of the shadow of `a`."""
-        return DirectedGraph(
-            name=f"shadow({self.base.name})",
-            vertices=self.base.vertices,
-            edges=tuple(
-                EdgeRecord(arc.edge.id + ("-" if arc.inverted else "+"),
-                           arc.source, arc.target)
-                for arc in self.arcs
-            ),
-        )
+        become edges `a+` and `a-`, primed as `_graph_with_edges` says: the
+        tokens `a` and `a~` cannot both be edge ids, since `a~` is also the
+        token of the shadow of `a`."""
+        return _graph_with_edges(
+            f"shadow({self.base.name})", self.base.vertices,
+            ((arc.edge.id + ("-" if arc.inverted else "+"), arc.source, arc.target)
+             for arc in self.arcs))
 
 
 def shadow(graph: DirectedGraph) -> ShadowedGraph:
@@ -257,22 +268,13 @@ def family(kind: str, n: int) -> DirectedGraph:
 
 
 def regularize(graph: DirectedGraph, k: int) -> DirectedGraph:
-    """Replace every edge by k parallel copies (ids `<old>#1` .. `<old>#k`)."""
+    """Replace every edge by k parallel copies (ids `<old>#1` .. `<old>#k`,
+    primed as `_graph_with_edges` says)."""
     if k < 1:
         raise ParameterError(f"regularization multiplicity must be >= 1, got {k}")
-    edges = tuple(
-        EdgeRecord(f"{e.id}#{j}", e.src, e.dst)
-        for e in graph.edges
-        for j in range(1, k + 1)
-    )
-    return DirectedGraph(f"R{k}({graph.name})", graph.vertices, edges)
-
-
-def _fresh_id(candidate: str, taken: set[str]) -> str:
-    while candidate in taken:
-        candidate += "'"
-    taken.add(candidate)
-    return candidate
+    return _graph_with_edges(
+        f"R{k}({graph.name})", graph.vertices,
+        ((f"{e.id}#{j}", e.src, e.dst) for e in graph.edges for j in range(1, k + 1)))
 
 
 def glue(
@@ -280,41 +282,38 @@ def glue(
 ) -> DirectedGraph:
     """Identify `v1` in `g1` with `v2` in `g2`.
 
-    The glued vertex keeps `v1`'s id; ids from `g2` that collide with ids
-    already present are disambiguated with trailing apostrophes, so the
-    result is deterministic in the declaration orders of both graphs.
-    """
+    The glued vertex keeps `v1`'s id. A vertex of `g2` whose id a vertex or
+    edge of `g1` (or an earlier vertex of `g2`) has gets trailing apostrophes,
+    and the edges of `g2` follow those of `g1`, primed as `_graph_with_edges`
+    says: the result is deterministic in the declaration orders of both."""
     g1.require_vertex(v1)
     g2.require_vertex(v2)
-    taken = set(g1.vertices) | {e.id for e in g1.edges}
-    vertex_rename = {v2: v1}
-    vertices = list(g1.vertices)
+    taken = {*g1.vertices, *(e.id for e in g1.edges)}
+    rename = {v2: v1}
     for v in g2.vertices:
-        if v == v2:
-            continue
-        fresh = _fresh_id(v, taken)
-        vertex_rename[v] = fresh
-        vertices.append(fresh)
-    edges = list(g1.edges)
-    for e in g2.edges:
-        fresh = _fresh_id(e.id, taken)
-        edges.append(EdgeRecord(fresh, vertex_rename[e.src], vertex_rename[e.dst]))
-    return DirectedGraph(f"{g1.name}#{g2.name}", tuple(vertices), tuple(edges))
+        if v not in rename:
+            fresh = v
+            while fresh in taken:
+                fresh += "'"
+            taken.add(fresh)
+            rename[v] = fresh
+    return _graph_with_edges(
+        f"{g1.name}#{g2.name}", (*g1.vertices, *list(rename.values())[1:]),
+        (*g1.edges, *((e.id, rename[e.src], rename[e.dst]) for e in g2.edges)))
 
 
 def iterated_glue_loops(graph: DirectedGraph, n: int) -> DirectedGraph:
     """Attach n fresh loops at every vertex (glue a one-vertex-n-loop graph
-    onto each vertex in turn)."""
+    onto each vertex in turn): ids `<v>_loop1` .. `<v>_loop<n>`, primed as
+    `_graph_with_edges` says."""
     if n < 1:
         raise ParameterError(f"loop count must be >= 1, got {n}")
     if not graph.vertices:
         raise ParameterError("cannot attach loops to an empty graph")
-    taken = set(graph.vertices) | {e.id for e in graph.edges}
-    edges = list(graph.edges)
-    for v in graph.vertices:
-        for j in range(1, n + 1):
-            edges.append(EdgeRecord(_fresh_id(f"{v}_loop{j}", taken), v, v))
-    return DirectedGraph(f"{graph.name}#O{n}", graph.vertices, tuple(edges))
+    return _graph_with_edges(
+        f"{graph.name}#O{n}", graph.vertices,
+        (*graph.edges,
+         *((f"{v}_loop{j}", v, v) for v in graph.vertices for j in range(1, n + 1))))
 
 
 def is_connected(graph: DirectedGraph) -> bool:

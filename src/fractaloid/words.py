@@ -244,6 +244,10 @@ def word_tree(
                         parents.append(len(units) + i)
                         ends.append(b)
         level = range(level.stop, len(ends))
+    if len(units) > max_words:
+        # No level was built: the first one would have failed the check.
+        raise LimitError(
+            f"word enumeration exceeded the {max_words}-word budget at length 0")
     return parents, ends
 
 

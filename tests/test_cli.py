@@ -351,6 +351,33 @@ def test_writers_leave_no_reference_cycle():
             gc.enable()
 
 
+def test_tree_payload_builds_one_list_per_children_tuple():
+    """`vertex_tree` shares one `children` tuple per (vertex, level), so the
+    payload holds at most |V| * depth + 1 distinct children lists."""
+    graph = family("complete", 4)
+    payload = _tree_to_json(vertex_tree(graph, "v1", 6).root)
+    lists, stack = {}, [payload]
+    while stack:
+        children = stack.pop()["children"]
+        if id(children) not in lists:
+            lists[id(children)] = children
+            stack.extend(children)
+    assert len(lists) <= len(graph.vertices) * 6 + 1
+
+
+def test_matrix_budget_counts_the_vertex_units(capsys, tmp_path):
+    save_graph(family("circulant", 5), tmp_path / "k5.json")
+    code, stdout, _ = run_cli(capsys, "matrix", str(tmp_path / "k5.json"),
+                              "--depth", "0", "--max-states", "1")
+    assert code == 3
+    assert json.loads(stdout)["error"] == {
+        "type": "LimitError",
+        "message": "word enumeration exceeded the 1-word budget at length 0"}
+    code, stdout, _ = run_cli(capsys, "matrix", str(tmp_path / "k5.json"),
+                              "--depth", "0", "--max-states", "5")
+    assert code == 0 and json.loads(stdout)["payload"]["basis_size"] == 5
+
+
 def test_compare_same_class_graphs(capsys, workdir):
     code, stdout, _ = run_cli(capsys, "compare", str(workdir / "r2k3.json"),
                               str(workdir / "c3.json"), "--max-n", "6")

@@ -182,6 +182,34 @@ def test_iterated_glue_loops_edge_count():
     assert len(iterated_glue_loops(g, 2).edges) == len(g.edges) + 2 * len(g.vertices)
 
 
+def _edge_ids(graph):
+    return [e.id for e in graph.edges]
+
+
+def test_glue_primes_an_edge_named_as_a_shadow_of_the_other_graph():
+    g1 = DirectedGraph("g1", ("v",), (EdgeRecord("x", "v", "v"),))
+    g2 = DirectedGraph("g2", ("w",), (EdgeRecord("x~", "w", "w"),))
+    glued = glue(g1, "v", g2, "w")
+    assert glued.vertices == ("v",)
+    assert _edge_ids(glued) == ["x", "x~'"]
+
+
+def test_regularize_primes_a_copy_named_as_a_vertex():
+    g = DirectedGraph("g", ("a", "e1#2"), (EdgeRecord("e1", "a", "e1#2"),))
+    assert _edge_ids(regularize(g, 2)) == ["e1#1", "e1#2'"]
+
+
+def test_attached_loop_is_primed_beside_an_edge_named_as_its_shadow():
+    g = DirectedGraph("g", ("v",), (EdgeRecord("v_loop1~", "v", "v"),))
+    assert _edge_ids(iterated_glue_loops(g, 1)) == ["v_loop1~", "v_loop1'"]
+
+
+def test_shadow_as_graph_primes_an_arc_named_as_a_vertex():
+    g = DirectedGraph("g", ("a", "e1+"), (EdgeRecord("e1", "a", "e1+"),))
+    plain = shadow(g).as_graph()
+    assert plain.edges == (EdgeRecord("e1+'", "a", "e1+"), EdgeRecord("e1-", "e1+", "a"))
+
+
 def test_is_connected_cases():
     assert is_connected(family("circulant", 3))
     assert is_connected(DirectedGraph("iso", ("a",), ()))

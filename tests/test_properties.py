@@ -32,6 +32,7 @@ from fractaloid import (
     enumerate_words,
     family,
     fractal_pair,
+    glue,
     graph_to_json,
     identically_distributed,
     inverse,
@@ -129,6 +130,72 @@ def test_is_connected_matches_breadth_first_search(graph):
         frontier = [w for u in frontier for w in neighbours[u] - seen]
         seen.update(frontier)
     assert is_connected(graph) == (len(seen) == len(graph.vertices))
+
+
+# Ids that collide under the surgeries' patterns: shadows (`~`), primes,
+# `as_graph`'s `+`/`-`, `regularize`'s `#j` and the `_loop<j>` of loops.
+ADVERSARIAL_IDS = st.sampled_from([
+    "x", "x~", "x'", "x~'", "e1", "e1+", "e1-", "e1#1", "e1#2", "e1#2~",
+    "v1", "v1_loop1", "v1_loop1~", "v1'"])
+
+
+@st.composite
+def adversarial_graphs(draw, name):
+    vertices = tuple(draw(st.lists(ADVERSARIAL_IDS, min_size=1, max_size=3,
+                                   unique=True)))
+    ids = draw(st.lists(ADVERSARIAL_IDS.filter(lambda i: i not in vertices),
+                        max_size=4, unique=True))
+    # Keep the graph valid: drop an id whose shadow partner is already kept.
+    kept = []
+    for i in ids:
+        if i + "~" not in kept and not (i.endswith("~") and i[:-1] in kept):
+            kept.append(i)
+    ends = st.sampled_from(vertices)
+    return DirectedGraph(name, vertices, tuple(
+        EdgeRecord(i, draw(ends), draw(ends)) for i in kept))
+
+
+def _is_primed(token, preferred):
+    return token.startswith(preferred) and not token[len(preferred):].strip("'")
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversarial_graphs("g1"), adversarial_graphs("g2"), st.integers(1, 2),
+       st.data())
+def test_surgeries_build_a_graph_from_any_ids(g1, g2, k, data):
+    """Every surgery returns a graph whose ids are the documented ones, each
+    primed with `'` where needed, and exactly the documented ones when none
+    of them is taken."""
+    v1 = data.draw(st.sampled_from(g1.vertices))
+    v2 = data.draw(st.sampled_from(g2.vertices))
+    rest = [v for v in g2.vertices if v != v2]
+    glued = glue(g1, v1, g2, v2)
+    vertex_of = {v2: v1, **dict(zip(rest, glued.vertices[len(g1.vertices):]))}
+    loops = [(f"{v}_loop{j}", v, v) for v in g1.vertices for j in range(1, k + 1)]
+    cases = [
+        (regularize(g1, k), g1.vertices,
+         [(f"{e.id}#{j}", e.src, e.dst) for e in g1.edges for j in range(1, k + 1)]),
+        (iterated_glue_loops(g1, k), g1.vertices, [*g1.edges, *loops]),
+        (shadow(g1).as_graph(), g1.vertices,
+         [(e.id + "+", e.src, e.dst) for e in g1.edges]
+         + [(e.id + "-", e.dst, e.src) for e in g1.edges]),
+        (glued, (*g1.vertices, *rest),
+         [*g1.edges,
+          *((e.id, vertex_of[e.src], vertex_of[e.dst]) for e in g2.edges)]),
+    ]
+    for graph, vertices, edges in cases:
+        assert len(graph.vertices) == len(vertices)
+        assert all(map(_is_primed, graph.vertices, vertices))
+        assert [(e.src, e.dst) for e in graph.edges] == [(s, t) for _, s, t in edges]
+        assert all(_is_primed(e.id, i) for e, (i, _, _) in zip(graph.edges, edges))
+        try:
+            DirectedGraph("preferred", tuple(vertices),
+                          tuple(EdgeRecord(*edge) for edge in edges))
+        except GraphError:
+            event("a preferred id is taken")
+            continue
+        assert graph.vertices == tuple(vertices)
+        assert [e.id for e in graph.edges] == [i for i, _, _ in edges]
 
 
 def _assert_distinct_labels(graph, labeling, end, degree_of):

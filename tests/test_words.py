@@ -199,6 +199,16 @@ def test_enumerate_budget_is_checked_before_the_level_is_built():
         tracemalloc.stop()
     assert peak < 10 * 2**20
 
+
+@pytest.mark.parametrize("graph, depth", [(family("circulant", 5), 0),
+                                          (DirectedGraph("G", ("a", "b"), ()), 3)])
+def test_enumerate_budget_counts_the_vertex_units(graph, depth):
+    # No level of length 1 or more is built here, so only the units count.
+    with pytest.raises(LimitError, match="1-word budget at length 0"):
+        enumerate_words(shadow(graph), depth, max_words=1)
+    assert len(enumerate_words(shadow(graph), depth,
+                               max_words=len(graph.vertices))) == len(graph.vertices)
+
 def test_product_nonempty_iff_composable():
     words = [w for w in enumerate_words(shadow(K2), 2) if not w.is_empty]
     for w1, w2 in itertools.product(words, repeat=2):
