@@ -65,6 +65,11 @@ SCHEMA_VERSION = "1.0"
 
 MAX_STATES_ENV = "FRACTALOID_MAX_STATES"
 
+# The deepest tree a `tree` report may nest. The writers recurse once per
+# nesting level, and a fresh interpreter's recursion limit lets them reach
+# 493 levels on 3.10 (495 on 3.12); 480 keeps headroom on every interpreter.
+MAX_TREE_REPORT_DEPTH = 480
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; usage errors are exit 1
@@ -289,19 +294,17 @@ def _cmd_compare(args) -> dict:
     }
 
 
-def _tree_to_json(root) -> dict:
-    """The payload of a vertex tree, one dict per distinct node and one list
-    per distinct `children` tuple: shared subtrees share their lists."""
-    return _node_payload(root, {})
-
-
-def _node_payload(node, lists: dict) -> dict:
-    """The payload of `node`; `lists` keeps the children list built for each
-    `children` tuple by tuple id, so each tuple is converted once."""
+def _tree_to_json(node, lists: dict | None = None) -> dict:
+    """The payload of the vertex tree at `node`, one dict per distinct node
+    and one list per distinct `children` tuple: shared subtrees share their
+    lists. `lists` keeps the children list built for each `children` tuple
+    by tuple id, so each tuple is converted once."""
+    if lists is None:
+        lists = {}
     children = lists.get(id(node.children))
     if children is None:
         children = lists[id(node.children)] = [
-            _node_payload(child, lists) for child in node.children]
+            _tree_to_json(child, lists) for child in node.children]
     return {"vertex": node.vertex,
             "arc": None if node.arc is None else node.arc.token,
             "children": children}
@@ -309,6 +312,11 @@ def _node_payload(node, lists: dict) -> dict:
 
 def _cmd_tree(args) -> dict:
     graph = load_graph(args.graph)
+    # A root with an incident edge has a tree as high as `--depth`, since every
+    # arc has a reverse; an isolated root has height 0. The check comes before
+    # any node is built.
+    if args.depth > MAX_TREE_REPORT_DEPTH and graph.degrees(args.root).total:
+        raise LimitError("tree: input nests too deeply")
     tree = vertex_tree(graph, args.root, args.depth)
     branching = 2 * max_out_degree(graph)
     return {
@@ -526,8 +534,9 @@ def _emit(out: Path | None, text: str) -> None:
     first encoded, and the bytes dropped, as the destination encodes it:
     stdout's own encoding and error handler, or UTF-8 for a file. So a report
     that cannot be encoded raises, naming its position in the whole report,
-    before anything is written or the file is opened. Every report, error
-    reports included, leaves the program here."""
+    before anything is written or the file is opened. The stream is flushed
+    before return, so a failed write to stdout raises here, not at exit.
+    Every report, error reports included, leaves the program here."""
     encoding, errors = ((sys.stdout.encoding, sys.stdout.errors) if out is None
                         else ("utf-8", "strict"))
     slices = range(0, len(text), _SLICE)
@@ -542,6 +551,7 @@ def _emit(out: Path | None, text: str) -> None:
           else out.open("w", encoding="utf-8", newline="")) as stream:
         for start in slices:
             stream.write(text[start:start + _SLICE])
+        stream.flush()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -556,19 +566,21 @@ def main(argv: list[str] | None = None) -> int:
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit:
         sys.set_int_max_str_digits(0)
+    text = None
     try:
         try:
             payload = args.handler(args)
             # Render in full before writing, so a failed render leaves no
             # partial output.
-            _emit(args.out, _render(args.command, payload, args.format))
+            text = _render(args.command, payload, args.format)
+            _emit(args.out, text)
         except OSError as exc:
             raise GraphError(f"cannot read or write file: {exc}") from exc
         except UnicodeEncodeError as exc:
             raise GraphError(f"cannot encode the report: {exc}") from exc
         except RecursionError:
-            # `_node_payload`, `_write_json` and `_render_text` recurse per tree
-            # level, and `json.loads` per nesting level of a graph file.
+            # Graph files nested too deeply for `json.loads`, and in-process
+            # callers whose stack is already deep.
             raise LimitError(f"{args.command}: input nests too deeply") from None
         except OverflowError:
             # A size no list can have, such as `lattice --max-n 10**21`.
@@ -581,7 +593,14 @@ def main(argv: list[str] | None = None) -> int:
             code = 3
         else:
             code = 2
-        if args.format == "json":
+        # Once the report is rendered, an OSError comes from its destination.
+        # When that is stdout, the error goes to stderr, and stdout is pointed
+        # at os.devnull so that the interpreter's last flush raises nothing.
+        stdout_failed = (text is not None and args.out is None
+                         and isinstance(exc.__cause__, OSError))
+        if stdout_failed:
+            sys.stdout = open(os.devnull, "w")
+        if args.format == "json" and not stdout_failed:
             error = {"type": type(exc).__name__, "message": str(exc)}
             report = _envelope(args.command, error=error, exit_code=code)
             _emit(None, json_text(report, ensure_ascii=True))

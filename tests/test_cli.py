@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import io
@@ -423,6 +424,44 @@ def test_writers_nest_one_level_per_call(tmp_path, fmt, key):
     assert result.stdout.count(key) == 451
 
 
+def test_tree_depth_rule_is_checked_before_the_tree_is_built(capsys, tmp_path):
+    """A `tree` report nests at most `MAX_TREE_REPORT_DEPTH` (480) levels, on
+    every interpreter: deeper, a root with an incident edge exits 3 before
+    any node is built, and an isolated root (height 0) is written at any
+    depth. Run in a fresh interpreter, whose recursion limit is the default."""
+    star = tmp_path / "t11.json"
+    save_graph(family("star", 1), star)
+    for fmt, key in [("json", b'"children":'), ("text", b"children:")]:
+        result = _run_module(["tree", str(star), "--root", "v1", "--depth", "480",
+                              "--format", fmt])
+        assert result.returncode == 0 and result.stderr == b""
+        assert result.stdout.count(key) == 481
+    result = _run_module(["tree", str(star), "--root", "v1", "--depth", "481"])
+    assert result.returncode == 3 and result.stderr == b""
+    assert json.loads(result.stdout)["error"] == {
+        "type": "LimitError", "message": "tree: input nests too deeply"}
+    result = _run_module(["tree", str(star), "--root", "v1", "--depth", "481",
+                          "--format", "text"])
+    assert result.returncode == 3 and result.stdout == b""
+    assert result.stderr == b"error: tree: input nests too deeply\n"
+    isolated = tmp_path / "i1.json"
+    isolated.write_text('{"name": "I1", "vertices": ["v1"], "edges": []}')
+    result = _run_module(["tree", str(isolated), "--root", "v1",
+                          "--depth", "1000000"])
+    assert result.returncode == 0 and result.stderr == b""
+    assert json.loads(result.stdout)["payload"]["tree"]["children"] == []
+    tracemalloc.start()
+    try:
+        code, stdout, err = run_cli(capsys, "tree", str(star), "--root", "v1",
+                                    "--depth", "499999")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err == ""
+    assert json.loads(stdout)["error"]["message"] == "tree: input nests too deeply"
+    assert peak < 1_000_000
+
+
 def test_label_subcommand(capsys, workdir):
     code, stdout, _ = run_cli(capsys, "label", str(workdir / "o2.json"))
     assert code == 0
@@ -667,6 +706,68 @@ def test_stdout_error_handler_decides_what_is_written(tmp_path):
     assert report["error"]["type"] == "GraphError"
     assert report["error"]["message"].startswith("cannot encode the report:")
     assert b"Traceback" not in result.stderr
+
+
+class _FailingStdout:
+    """A stdout whose every write raises `error`."""
+    encoding, errors = "utf-8", "strict"
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                   OSError(errno.ENOSPC, "No space left on device")],
+                         ids=["EPIPE", "ENOSPC"])
+def test_failed_write_to_stdout_is_one_line_on_stderr(capsys, monkeypatch, workdir,
+                                                      fmt, error):
+    """When stdout cannot take a report, no error report is written to it:
+    one `error:` line goes to stderr, in every format, and stdout is left
+    pointed at os.devnull, so the interpreter's last flush raises nothing."""
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(error))
+    code = main(["info", str(workdir / "k3.json"), "--format", fmt])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot read or write file: {error}\n"
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+
+
+def test_closed_pipe_on_stdout_is_one_line_on_stderr(tmp_path):
+    save_graph(family("complete", 4), tmp_path / "c4.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(fractaloid.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fractaloid", "tree", str(tmp_path / "c4.json"),
+         "--root", "v1", "--depth", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        # The 11 MB report is far larger than a pipe holds, so the writer is
+        # still writing when the read end closes.
+        assert proc.stdout.read(10) == b'{\n  "schem'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b"error: cannot read or write file: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_to_out_file_is_json_report(capsys, workdir):
+    code, stdout, err = run_cli(capsys, "info", str(workdir / "k3.json"),
+                                "--out", "/dev/full")
+    assert code == 2 and err == ""
+    assert json.loads(stdout)["error"] == {
+        "type": "GraphError",
+        "message": "cannot read or write file: [Errno 28] No space left on device"}
 
 
 def test_report_to_stream_without_encoding_is_unchanged(monkeypatch, tmp_path):
