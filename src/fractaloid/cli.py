@@ -9,7 +9,6 @@ error, 3 computation budget exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
@@ -424,28 +423,40 @@ def _csv_rows(command: str, payload: dict) -> tuple[list[str], list[list]]:
 def json_text(value, *, ensure_ascii: bool = False) -> str:
     """`json.dumps(value, indent=2, ensure_ascii=ensure_ascii) + "\\n"`, byte
     for byte, for values built of dicts with str keys, lists, tuples, str,
-    int, bool and None.
+    int, bool and None: the text a JSON report of `value` writes to a
+    StringIO destination.
 
-    One recursive pass (one call per nesting level, as in the stdlib encoder)
-    writes into a StringIO buffer. It exists for shared subtrees: a list met
-    again at the same indent is copied, not rendered again. On other reports
-    it is 1.2 to 2.4 times faster than the stdlib on 3.11, slower on 3.13.
+    The writer exists for shared subtrees: a list met again at the same
+    indent is copied, not rendered again. On other reports it is 1.2 to 2.4
+    times faster than the stdlib on 3.11, slower on 3.13.
     """
     buffer = io.StringIO()
-    write = buffer.write
-    _write_json(value, "\n", write,
-                encode_basestring_ascii if ensure_ascii else encode_basestring, {})
-    write("\n")
+    _write_through(buffer, _json_writer(value, ensure_ascii))
     return buffer.getvalue()
 
 
-def _write_json(o, pad: str, write, encode, texts: dict) -> None:
-    """Write the JSON text of `o` at indent `pad` through `write`. A list or
-    tuple met a second time at the same indent (a shared subtree of a vertex
-    tree) is rendered apart and its text kept, so later visits write that
-    text; lists met once cost one dict entry. `texts` holds, by (id, indent)
-    of each list seen, None after its first visit and its text from the
-    second on."""
+def _json_writer(value, ensure_ascii: bool = False):
+    """The function that writes the JSON text of `value`, with its final
+    newline, through a `_Sink`."""
+    encode = encode_basestring_ascii if ensure_ascii else encode_basestring
+
+    def write_json(sink: _Sink) -> None:
+        _write_json(value, "\n", sink.write, encode, {}, sink)
+        sink.write("\n")
+    return write_json
+
+
+def _write_json(o, pad: str, write, encode, texts: dict, sink) -> None:
+    """Write the JSON text of `o` at indent `pad` through `write`, in one
+    recursive pass (one call per nesting level, as in the stdlib encoder). A
+    list or tuple met a second time at the same indent (a shared subtree of
+    a vertex tree) is rendered apart and its text kept, so later visits
+    write that text; lists met once cost one dict entry. `texts` holds, by
+    (id, indent) of each list seen, None after its first visit and its text
+    from the second on. With a `sink` (whose `write` is `write`), each dict
+    or list written ends with `sink.spill()`, and a kept text is written by
+    `sink.put`; a list rendered apart is given no sink, since its text is
+    not written yet."""
     if isinstance(o, str):
         write(encode(o))
     elif o is None:
@@ -466,34 +477,40 @@ def _write_json(o, pad: str, write, encode, texts: dict) -> None:
             write(sep)
             write(encode(key))
             write(": ")
-            _write_json(item, inner, write, encode, texts)
+            _write_json(item, inner, write, encode, texts, sink)
             sep = "," + inner
         write(pad + "}")
+        if sink is not None:
+            sink.spill()
     elif isinstance(o, (list, tuple)):
         if not o:
             write("[]")
             return
         key = (id(o), pad)
         text = texts.get(key)
-        if text is not None:
-            write(text)
-            return
-        part, out = None, write
-        if key in texts:
-            part = io.StringIO()
-            out = part.write
-        else:
-            texts[key] = None
-        inner = pad + "  "
-        sep = "[" + inner
-        for item in o:
-            out(sep)
-            _write_json(item, inner, out, encode, texts)
-            sep = "," + inner
-        out(pad + "]")
-        if part is not None:
+        if text is None:
+            part, out, out_sink = None, write, sink
+            if key in texts:
+                part = io.StringIO()
+                out, out_sink = part.write, None
+            else:
+                texts[key] = None
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in o:
+                out(sep)
+                _write_json(item, inner, out, encode, texts, out_sink)
+                sep = "," + inner
+            out(pad + "]")
+            if part is None:
+                if sink is not None:
+                    sink.spill()
+                return
             text = texts[key] = part.getvalue()
+        if sink is None:
             write(text)
+        else:
+            sink.put(text)
     else:
         raise TypeError(
             f"Object of type {type(o).__name__} is not JSON serializable"
@@ -505,53 +522,146 @@ def _envelope(command: str, **fields) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command, **fields}
 
 
-def _render(command: str, payload: dict, fmt: str) -> str:
+def _report(command: str, payload: dict, fmt: str):
+    """The report of `command` in `fmt`: the value that holds every string
+    it prints, and the function that writes it through a `_Sink`."""
     if fmt == "json":
         # `gen` writes the bare graph schema, so its output loads as a graph.
-        return json_text(payload if command == "gen"
-                         else _envelope(command, payload=payload, warnings=[]))
+        value = (payload if command == "gen"
+                 else _envelope(command, payload=payload, warnings=[]))
+        return value, _json_writer(value)
     if fmt == "csv":
+        # Imported here, so that the other reports' processes never load it.
+        import csv
+
         header, rows = _csv_rows(command, payload)
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buffer.getvalue()
-    # One join over the lines and a last empty one gives the final newline
-    # without a second copy of the report.
+
+        def write_csv(sink: _Sink) -> None:
+            writer = csv.writer(sink, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(row)
+                sink.spill()
+        return [header, rows], write_csv
     lines = _render_text(payload)
-    lines.append("")
-    return "\n".join(lines)
+
+    def write_text(sink: _Sink) -> None:
+        # Lines are joined a thousand at a time, each batch with its final
+        # newline, so the text is never joined whole.
+        for start in range(0, len(lines), 1000):
+            sink.write("\n".join(lines[start:start + 1000]))
+            sink.write("\n")
+            sink.spill()
+    return payload, write_text
 
 
-# Reports are checked and written this many characters at a time.
-_SLICE = 1 << 16
+# A report reaches its destination in chunks of just over this many
+# characters; a kept subtree text longer than that goes as it is.
+_CHUNK = 1 << 16
 
 
-def _emit(out: Path | None, text: str) -> None:
-    """Write a report to stdout, or to the file `out`, in slices of `_SLICE`
-    characters, so no encoded copy of the whole report is held. Each slice is
-    first encoded, and the bytes dropped, as the destination encodes it:
-    stdout's own encoding and error handler, or UTF-8 for a file. So a report
-    that cannot be encoded raises, naming its position in the whole report,
-    before anything is written or the file is opened. The stream is flushed
-    before return, so a failed write to stdout raises here, not at exit.
-    Every report, error reports included, leaves the program here."""
+class _Sink:
+    """The way of every report to its destination `stream`: the writers
+    write pieces into a StringIO through `write`, and `spill` passes them on
+    once there are more than `_CHUNK` characters. So no whole report is
+    held, and the stream takes one write per chunk, not one per piece: a
+    stream that writes through on every call (stdout under
+    PYTHONUNBUFFERED) costs a system call per write."""
+
+    def __init__(self, stream) -> None:
+        self.stream, self.buffer = stream, io.StringIO()
+        self.write = self.buffer.write
+
+    def spill(self, least: int = _CHUNK) -> None:
+        buffer = self.buffer
+        if buffer.tell() > least:
+            self.stream.write(buffer.getvalue())
+            # Emptied by seek and truncate, a StringIO would keep four bytes
+            # per character from then on; a fresh one keeps one for ASCII.
+            buffer.__init__()
+
+    def put(self, text: str) -> None:
+        """Write `text`, then spill; a text over `_CHUNK` characters (a
+        kept subtree) goes to the stream as it is, not through the buffer."""
+        if len(text) > _CHUNK:
+            self.spill(0)
+            self.stream.write(text)
+        else:
+            self.write(text)
+            self.spill()
+
+
+class _Encoder:
+    """A stream that keeps nothing of its text: it encodes each piece as
+    `encoding` with `errors` would, and raises the error of the first that
+    fails with its position in the whole text."""
+
+    def __init__(self, encoding: str, errors: str) -> None:
+        self.encoding, self.errors, self.done = encoding, errors, 0
+
+    def write(self, text: str) -> None:
+        try:
+            text.encode(self.encoding, self.errors)
+        except UnicodeEncodeError as exc:
+            # Its message shows `object[start]`: pad the piece to its place.
+            raise UnicodeEncodeError(exc.encoding, " " * self.done + text,
+                                     exc.start + self.done, exc.end + self.done,
+                                     exc.reason) from None
+        self.done += len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _strings(value, strings: set, seen: set) -> set:
+    """Add every str in the dict, list or tuple `value` to `strings`, dict
+    keys included, walking each list or tuple once however often it occurs
+    (`seen` holds the ids of those walked)."""
+    if isinstance(value, dict):
+        strings.update(value)
+        value = value.values()
+    elif id(value) in seen:
+        return strings
+    else:
+        seen.add(id(value))
+    for item in value:
+        if type(item) is int:  # the bulk of large reports: counts
+            continue
+        if isinstance(item, str):
+            strings.add(item)
+        elif isinstance(item, (dict, list, tuple)):
+            _strings(item, strings, seen)
+    return strings
+
+
+def _write_through(stream, write_report) -> None:
+    """Write a report into `stream` through a new `_Sink`, then flush it."""
+    sink = _Sink(stream)
+    write_report(sink)
+    sink.spill(0)
+    stream.flush()
+
+
+def _emit(out: Path | None, value, write_report) -> None:
+    """Write a report to stdout, or to the file `out`, through one `_Sink`:
+    `write_report(sink)` writes it, and `value` holds every string it prints
+    (None: a report of ASCII only). Before anything is written, or the file
+    opened, those strings are encoded as the destination encodes them:
+    stdout's own encoding and error handler, or UTF-8 for a file. Only when
+    one fails is the report written to an `_Encoder`, which raises the error
+    with its position in the whole report. The stream is flushed before
+    return, so a failed write to stdout raises here, not at exit. Every
+    report, error reports included, leaves the program here."""
     encoding, errors = ((sys.stdout.encoding, sys.stdout.errors) if out is None
                         else ("utf-8", "strict"))
-    slices = range(0, len(text), _SLICE)
-    if encoding is not None:  # None: a StringIO, which takes any text
-        for start in slices:
-            try:
-                text[start:start + _SLICE].encode(encoding, errors)
-            except UnicodeEncodeError as exc:
-                raise UnicodeEncodeError(exc.encoding, text, exc.start + start,
-                                         exc.end + start, exc.reason) from None
+    if encoding is not None and value is not None:  # None: a StringIO
+        try:
+            "".join(map(str, _strings(value, set(), set()))).encode(encoding, errors)
+        except UnicodeEncodeError:
+            _write_through(_Encoder(encoding, errors), write_report)
     with (nullcontext(sys.stdout) if out is None
           else out.open("w", encoding="utf-8", newline="")) as stream:
-        for start in slices:
-            stream.write(text[start:start + _SLICE])
-        stream.flush()
+        _write_through(stream, write_report)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -566,14 +676,12 @@ def main(argv: list[str] | None = None) -> int:
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit:
         sys.set_int_max_str_digits(0)
-    text = None
+    report = None
     try:
         try:
             payload = args.handler(args)
-            # Render in full before writing, so a failed render leaves no
-            # partial output.
-            text = _render(args.command, payload, args.format)
-            _emit(args.out, text)
+            report = _report(args.command, payload, args.format)
+            _emit(args.out, *report)
         except OSError as exc:
             raise GraphError(f"cannot read or write file: {exc}") from exc
         except UnicodeEncodeError as exc:
@@ -593,17 +701,17 @@ def main(argv: list[str] | None = None) -> int:
             code = 3
         else:
             code = 2
-        # Once the report is rendered, an OSError comes from its destination.
+        # Once the report is made, an OSError comes from its destination.
         # When that is stdout, the error goes to stderr, and stdout is pointed
         # at os.devnull so that the interpreter's last flush raises nothing.
-        stdout_failed = (text is not None and args.out is None
+        stdout_failed = (report is not None and args.out is None
                          and isinstance(exc.__cause__, OSError))
         if stdout_failed:
             sys.stdout = open(os.devnull, "w")
         if args.format == "json" and not stdout_failed:
             error = {"type": type(exc).__name__, "message": str(exc)}
-            report = _envelope(args.command, error=error, exit_code=code)
-            _emit(None, json_text(report, ensure_ascii=True))
+            _emit(None, None, _json_writer(
+                _envelope(args.command, error=error, exit_code=code), ensure_ascii=True))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return code

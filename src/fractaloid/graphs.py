@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from json.decoder import JSONObject
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -396,16 +397,6 @@ def _edge_record(entry: object) -> EdgeRecord:
     return EdgeRecord(edge_id, src, dst)
 
 
-def _parsed_edge(obj: dict) -> object:
-    """The `object_hook` of `load_graph`: a JSON object that is a valid edge
-    entry becomes its EdgeRecord as soon as it is parsed, so its dict is
-    freed at once; any other object stays a dict."""
-    try:
-        return _edge_record(obj)
-    except GraphError:
-        return obj
-
-
 def save_graph(graph: DirectedGraph, path: str | Path) -> None:
     """Write `graph` as indented UTF-8 JSON. The text is encoded before the
     file is opened, so a graph that cannot be encoded leaves the file as it was."""
@@ -413,14 +404,58 @@ def save_graph(graph: DirectedGraph, path: str | Path) -> None:
     Path(path).write_bytes(text.encode())
 
 
+class _GraphDecoder(json.JSONDecoder):
+    """A JSON decoder that maps each member of the top-level object that is
+    a list of strings through `share` as soon as it is parsed. Files that
+    `save_graph` writes hold the vertex list before the edges, so the
+    endpoints that `share` maps as the edges are parsed are the vertex
+    list's own strings: no vertex name is ever held as two string objects.
+    The top-level object is parsed by `json.decoder.JSONObject`, the
+    stdlib's pure-Python parser of one object, and each member by the C
+    scanner, so the errors are those of `json.loads`."""
+
+    def __init__(self, *, share, **kw) -> None:
+        super().__init__(**kw)
+        scan, strict, object_hook = self.scan_once, self.strict, self.object_hook
+
+        def scan_member(text: str, end: int) -> tuple[object, int]:
+            value, end = scan(text, end)
+            if type(value) is list and all(type(v) is str for v in value):
+                value = list(map(share, value, value))
+            return value, end
+
+        def scan_document(text: str, end: int) -> tuple[object, int]:
+            if not text.startswith("{", end):
+                return scan(text, end)
+            return JSONObject((text, end + 1), strict, scan_member, object_hook,
+                              None, {})
+        self.scan_once = scan_document
+
+
 def load_graph(path: str | Path) -> DirectedGraph:
     """`graph_from_json` of the file at `path`, with the same errors, built
-    without a dict per edge."""
+    without a dict per edge and with one string object per vertex: each
+    edge's `src` and `dst` are the vertex's own string, shared through a
+    dict that lives for this one load."""
+    strings: dict[str, str] = {}
+    share = strings.setdefault
+
+    def parsed_edge(obj: dict) -> object:
+        # The `object_hook`: a JSON object that `_edge_record` accepts becomes
+        # its EdgeRecord as soon as it is parsed, so its dict is freed at
+        # once; any other object stays a dict.
+        if obj.keys() == _EDGE_KEYS:
+            edge_id, src, dst = obj["id"], obj["src"], obj["dst"]
+            if (isinstance(edge_id, str) and isinstance(src, str)
+                    and isinstance(dst, str)):
+                return EdgeRecord(edge_id, share(src, src), share(dst, dst))
+        return obj
+
     try:
         # No number is valid in a graph file, so an integer literal is read
         # as a float: a huge one then costs no quadratic int conversion.
-        obj = json.loads(Path(path).read_text(encoding="utf-8"),
-                         object_hook=_parsed_edge, parse_int=float)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"), cls=_GraphDecoder,
+                         share=share, object_hook=parsed_edge, parse_int=float)
     except ValueError as exc:
         # JSONDecodeError and UnicodeDecodeError alike.
         raise GraphError(f"malformed graph JSON in {path}: {exc}") from exc
@@ -430,4 +465,8 @@ def load_graph(path: str | Path) -> DirectedGraph:
     name, vertices, edges = _graph_fields(obj)
     # Every entry that is not an EdgeRecord yet is faulty and raises here.
     records = tuple(e if type(e) is EdgeRecord else _edge_record(e) for e in edges)
-    return DirectedGraph(name, tuple(vertices), records)
+    # When the edges came first, the vertices take the endpoints' strings.
+    # The table is emptied before the graph builds its own tables.
+    vertices = tuple(map(share, vertices, vertices))
+    strings.clear()
+    return DirectedGraph(name, vertices, records)

@@ -690,6 +690,29 @@ def test_unencodable_report_past_first_slice(capsys, monkeypatch, tmp_path, fmt)
         assert out.read_bytes() == b"earlier report\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_unencodable_report_after_kept_subtree_texts(capsys, monkeypatch, tmp_path,
+                                                     fmt):
+    """A lone surrogate that first prints after the kept texts of shared
+    subtrees (a chain away from a root with three loops) is found at its
+    position in the whole report, which is several MB long."""
+    chain = ["r", "p1", "p2", "p3", "p4", "p5", "z\ud800"]
+    edges = [{"id": loop, "src": "r", "dst": "r"} for loop in ("a", "b", "b2")]
+    edges += [{"id": f"c{i}", "src": chain[i], "dst": chain[i + 1]} for i in range(6)]
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"name": "late", "vertices": chain, "edges": edges}))
+    argv = ["tree", str(graph), "--root", "r", "--depth", "6", "--format", fmt]
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(argv) == 0
+    position = sys.stdout.getvalue().index("\ud800")
+    assert position > 1 << 20
+    monkeypatch.undo()
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    message = json.loads(stdout)["error"]["message"] if fmt == "json" else stderr
+    assert f"in position {position}:" in message
+
+
 def test_stdout_error_handler_decides_what_is_written(tmp_path):
     escaped = tmp_path / "escaped.json"
     escaped.write_text(_cycle_graph_text(["\udc80"]))
@@ -758,6 +781,66 @@ def test_closed_pipe_on_stdout_is_one_line_on_stderr(tmp_path):
         proc.kill()
         proc.stderr.close()
     assert err == b"error: cannot read or write file: [Errno 32] Broken pipe\n"
+
+
+class _CountingStdout:
+    """A stdout that counts the calls of its `write` and records each text
+    it takes; `write` raises `error` from call number `fail_at` on (never,
+    when `fail_at` is None)."""
+    encoding, errors = "utf-8", "strict"
+
+    def __init__(self, fail_at=None, error=None):
+        self.calls, self.texts, self.fail_at, self.error = 0, [], fail_at, error
+
+    def write(self, text):
+        self.calls += 1
+        if self.fail_at is not None and self.calls >= self.fail_at:
+            raise self.error
+        self.texts.append(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("graph, argv", [
+    (("complete", 4), ["tree", "--root", "v1", "--depth", "6"]),
+    (("circulant", 5000), ["info"]),
+], ids=["tree", "info"])
+def test_streamed_report_reaches_stdout_in_chunks(monkeypatch, tmp_path, graph, argv):
+    """A large report reaches stdout in chunks of tens of KiB, not one piece
+    at a time (a stdout that writes through, as under PYTHONUNBUFFERED,
+    would pay a system call per write): the 11 MB vertex tree of complete 4
+    at depth 6, most of it kept subtree texts, and `info` of 5,000
+    vertices, all of it small pieces. The text is the stdlib's."""
+    save_graph(family(*graph), tmp_path / "g.json")
+    argv = [argv[0], str(tmp_path / "g.json"), *argv[1:]]
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    args = build_parser().parse_args(argv)
+    envelope = {"schema_version": "1.0", "command": argv[0],
+                "payload": args.handler(args), "warnings": []}
+    report = "".join(stdout.texts)
+    assert report == json.dumps(envelope, indent=2, ensure_ascii=False) + "\n"
+    assert len(stdout.texts) <= len(report) / (32 << 10) + 2
+
+
+def test_stdout_failing_part_way_through_a_report(capsys, monkeypatch, tmp_path):
+    """A stdout that takes the first chunk of a streamed report and then
+    fails: one `error:` line on stderr, nothing more offered to that stdout,
+    exit 2, and stdout left at os.devnull for the interpreter's last flush."""
+    save_graph(family("complete", 4), tmp_path / "c4.json")
+    error = BrokenPipeError(errno.EPIPE, "Broken pipe")
+    stdout = _CountingStdout(fail_at=2, error=error)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["tree", str(tmp_path / "c4.json"), "--root", "v1", "--depth", "6"])
+    assert code == 2
+    assert stdout.calls == 2
+    assert len(stdout.texts) == 1 and stdout.texts[0].startswith('{\n  "schema')
+    assert capsys.readouterr().err == f"error: cannot read or write file: {error}\n"
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

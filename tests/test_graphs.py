@@ -498,6 +498,25 @@ def test_load_graph_keeps_no_dict_per_edge(tmp_path):
     assert peak < 1.7 * kept
 
 
+@pytest.mark.parametrize("vertices_first", [True, False])
+def test_load_graph_shares_one_string_per_vertex(tmp_path, vertices_first):
+    """Each edge's `src` and `dst` is the vertex's own string object, whether
+    the file holds the vertices before the edges (as `save_graph` writes
+    it) or after, and the graph is the one `graph_from_json` builds."""
+    obj = graph_to_json(regularize(family("complete", 4), 2))
+    if not vertices_first:
+        obj = {"edges": obj["edges"], "name": obj["name"], "vertices": obj["vertices"]}
+    text = json.dumps(obj, indent=2)
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    graph = load_graph(path)
+    assert graph == graph_from_json(json.loads(text))
+    own = {v: v for v in graph.vertices}
+    assert len(own) == 4
+    for e in graph.edges:
+        assert e.src is own[e.src] and e.dst is own[e.dst]
+
+
 def test_load_and_fractality_check_add_little_to_the_graph(tmp_path):
     """A loaded graph keeps degree counts, not a tuple of edges per vertex
     and side: loading peaks near the graph it keeps (1.5 times it with the
