@@ -340,7 +340,7 @@ def _cmd_matrix(args) -> dict:
     return {
         "graph": graph.name,
         "depth": args.depth,
-        "basis_size": len(op.columns),
+        "basis_size": op.size,
         "symmetric": op.is_symmetric(),
         "diagonal": diagonal,
     }

@@ -165,41 +165,69 @@ class TruncatedOperator(Frozen):
     (vertex units included). A closed walk of length n stays within n / 2 of
     its start, so power diagonals are exact for exponents <= 2 * depth + 1.
 
-    It keeps positions, not words: `columns[i]` is the column of basis word i,
-    and the first |V| positions are the vertex units in declaration order, so
-    `power_diagonals` walks a unit's column from its vertex's position.
-    `basis` (the words of `enumerate_words`, a function of graph and depth)
-    and `index`, the position of every word, are built only when read."""
+    The operator is the adjacency of the word tree of `words.word_tree`
+    (right multiplication by an arc cancels a word's last letter or appends
+    the arc): the first |V| positions are the vertex units in declaration
+    order, and `parents[i]` is the position of path word |V| + i without its
+    last letter. `columns`, `basis` (the words of `enumerate_words`) and
+    `index` (each word's position) are built only when read."""
 
-    _fields = ("graph", "depth", "columns")
+    _fields = ("graph", "depth", "parents")
     # The instance dict holds what `cached_property` computes.
     __slots__ = _fields + ("__dict__",)
 
-    def __init__(
-        self, graph: DirectedGraph, depth: int, columns: list[dict[int, int]]
-    ) -> None:
-        self._set(graph=graph, depth=depth, columns=columns)
+    def __init__(self, graph: DirectedGraph, depth: int, parents: list[int]) -> None:
+        self._set(graph=graph, depth=depth, parents=parents)
+
+    @property
+    def size(self) -> int:
+        return len(self.graph.vertices) + len(self.parents)
 
     @cached_property
     def basis(self) -> list[ReducedWord]:
         # A budget of exactly the basis size: reading never fails.
-        return enumerate_words(shadow(self.graph), self.depth,
-                               max_words=len(self.columns))
+        return enumerate_words(shadow(self.graph), self.depth, max_words=self.size)
 
     @cached_property
     def index(self) -> dict[ReducedWord, int]:
         return {word: i for i, word in enumerate(self.basis)}
 
     @cached_property
+    def columns(self) -> list[dict[int, int]]:
+        columns: list[dict[int, int]] = [dict() for _ in range(self.size)]
+        for col, parent in enumerate(self.parents, len(self.graph.vertices)):
+            columns[col][parent] = columns[parent][col] = 1
+        return columns
+
+    @cached_property
     def _unit_positions(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.graph.vertices)}
 
+    @cached_property
+    def _children(self) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+        # One pass: each unit's children; the children of path word |V| + i,
+        # one run from firsts[i] to firsts[i + 1] as `word_tree` appends them;
+        # levels[d], the first position of the words of d letters.
+        shift = len(self.graph.vertices)
+        units: list[list[int]] = [[] for _ in range(shift)]
+        firsts, levels, pending = [self.size] * (len(self.parents) + 1), [0, shift], 0
+        for child, parent in enumerate(self.parents, shift):
+            if parent < shift:
+                units[parent].append(child)
+                continue
+            if parent >= levels[-1]:
+                levels.append(child)
+            while pending <= parent - shift:
+                firsts[pending] = child
+                pending += 1
+        return [tuple(children) for children in units], firsts, levels
+
     def is_symmetric(self) -> bool:
-        for col, entries in enumerate(self.columns):
-            for row, value in entries.items():
-                if self.columns[row].get(col, 0) != value:
-                    return False
-        return True
+        """Whether the walk's runs of children are `parents` read downward:
+        words under units first, then the rest in their parents' order."""
+        units = self._children[0]
+        rest = self.parents[sum(map(len, units)):]
+        return rest == sorted(rest) and min(rest, default=len(units)) >= len(units)
 
     def power_diagonal(self, v: str, n: int) -> int:
         """Diagonal entry of the n-th power at the unit word of `v`."""
@@ -207,17 +235,30 @@ class TruncatedOperator(Frozen):
 
     def power_diagonals(self, v: str, n_max: int) -> list[int]:
         """Diagonal entries of the powers 0..n_max at the unit word of `v`,
-        read off one walk of the unit's column through the powers."""
+        read off one walk from the unit, which skips every word longer than
+        the steps left: from there it cannot come back."""
         if n_max < 0:
             raise ParameterError(f"power must be >= 0, got {n_max}")
         self.graph.require_vertex(v)
         start = self._unit_positions[v]
+        units, firsts, levels = self._children
+        shift, parents = len(units), self.parents
         vec, diagonals = {start: 1}, [1]
-        for _ in range(n_max):
+        for left in reversed(range(n_max)):
+            # Only words shorter than `left` letters (below `grows`) have
+            # children that can still come back; the last level has none.
+            grows = levels[min(left, len(levels) - 1)]
             nxt: dict[int, int] = {}
-            for col, value in vec.items():
-                for row, entry in self.columns[col].items():
-                    nxt[row] = nxt.get(row, 0) + entry * value
+            for pos, value in vec.items():
+                if pos < shift:
+                    children = units[pos]
+                else:
+                    parent = parents[pos - shift]
+                    nxt[parent] = nxt.get(parent, 0) + value
+                    children = range(firsts[pos - shift], firsts[pos - shift + 1])
+                if pos < grows:
+                    for child in children:
+                        nxt[child] = nxt.get(child, 0) + value
             vec = nxt
             diagonals.append(vec.get(start, 0))
         return diagonals
@@ -228,12 +269,7 @@ def truncated_radial_matrix(
 ) -> TruncatedOperator:
     """Assemble the truncated radial operator on the length-bounded basis."""
     parents, _ = word_tree(shadow(graph), depth, max_words)
-    columns: list[dict[int, int]] = [dict() for _ in (*graph.vertices, *parents)]
-    # Right multiplication by an arc cancels a word's last letter (its parent)
-    # or appends the arc (a child): a column holds its parent and children.
-    for col, parent in enumerate(parents, len(graph.vertices)):
-        columns[col][parent] = columns[parent][col] = 1
-    return TruncatedOperator(graph, depth, columns)
+    return TruncatedOperator(graph, depth, parents)
 
 
 class MomentComparisonRow(NamedTuple):

@@ -238,10 +238,10 @@ def word_tree(
             # Parents in sorted order, each extended by arcs in token order:
             # the next level comes out sorted too.
             for i in level:
-                back = reverse[ends[i]]
+                back, parent = reverse[ends[i]], len(units) + i
                 for b in onward[ends[i]]:
                     if b != back:
-                        parents.append(len(units) + i)
+                        parents.append(parent)
                         ends.append(b)
         level = range(level.stop, len(ends))
     if len(units) > max_words:

@@ -224,6 +224,27 @@ def test_matrix_walks_each_diagonal_once(capsys, monkeypatch, workdir):
     assert requested == [("v1", 5), ("v2", 5), ("v3", 5)]
 
 
+def test_matrix_builds_neither_columns_nor_basis(capsys, monkeypatch, workdir):
+    # The report reads the basis size, the diagonals and the symmetry from
+    # the word tree; the column dicts and the words are built only on request.
+    build = fractaloid.cli.truncated_radial_matrix
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(fractaloid.cli, "truncated_radial_matrix", recording)
+    code, stdout, _ = run_cli(capsys, "matrix", str(workdir / "r2k3.json"),
+                              "--depth", "4")
+    assert code == 0
+    [op] = built
+    assert "columns" not in vars(op) and "basis" not in vars(op)
+    payload = json.loads(stdout)["payload"]
+    assert payload["basis_size"] == op.size == len(op.columns)
+    assert payload["symmetric"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "@k3.json", "--max-n", "3000", "--max-states", "10"],
     ["lattice", "--N", "1", "--max-n", "3000", "--max-paths", "10"],

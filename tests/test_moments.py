@@ -11,6 +11,7 @@ from fractaloid import (
     LimitError,
     NotFractalError,
     ParameterError,
+    TruncatedOperator,
     UnknownVertexError,
     family,
     fractal_pair,
@@ -242,6 +243,40 @@ def test_matrix_keeps_positions_not_words():
     assert "basis" not in vars(op)
     assert len(op.columns) == 6003
     assert kept < 4_000_000
+
+
+def test_matrix_walk_keeps_the_word_tree_alone():
+    # R3(K2) at depth 5 has 9374 basis words. With one column dict per word,
+    # the operator, its diagonals and the symmetry check peaked at 3.2 MB in
+    # tracemalloc; walking the parent positions, at about 0.4 MB.
+    graph = regularize(family("circulant", 2), 3)
+    tracemalloc.start()
+    try:
+        op = truncated_radial_matrix(graph, 5)
+        diagonals = [op.power_diagonals(v, 5) for v in graph.vertices]
+        symmetric = op.is_symmetric()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.size == 9374 and symmetric
+    assert diagonals == [tree_return_counts(3, 5)] * 2
+    assert peak < 1_000_000
+    assert "columns" not in vars(op) and "basis" not in vars(op)
+
+
+def test_children_split_into_two_runs_are_not_symmetric():
+    # The walk reads the children of a path word as one run of positions.
+    # Moving a child of word 1 past one of word 2 splits that run in two, so
+    # the walked operator is no longer the transpose of `parents`.
+    op = truncated_radial_matrix(O2, 2)
+    assert op.parents[4:10] == [1, 1, 1, 2, 2, 2] and op.is_symmetric()
+    parents = list(op.parents)
+    parents[6], parents[7] = parents[7], parents[6]
+    split = TruncatedOperator(O2, 2, parents)
+    assert not split.is_symmetric()
+    # The columns, built from `parents` alone, are symmetric all the same.
+    assert all(split.columns[row][col] == 1
+               for col, column in enumerate(split.columns) for row in column)
 
 
 def test_basis_positions():

@@ -289,6 +289,28 @@ def test_power_diagonals_list_every_power(graph, depth, n_max):
 
 
 @settings(max_examples=60, deadline=None)
+@given(small_multigraphs(), st.integers(0, 3), st.data())
+def test_power_diagonals_are_the_truncated_matrix_powers(graph, depth, data):
+    # Past the exact window of 2 * depth + 1 the walk still gives the powers
+    # of the truncated matrix itself: it drops only words it cannot leave in
+    # time to come back. The products here use every column in full.
+    op = truncated_radial_matrix(graph, depth)
+    assert op.is_symmetric()
+    n_max = data.draw(st.integers(0, 2 * depth + 4), label="n_max")
+    for start, v in enumerate(graph.vertices):
+        vec, expected = [0] * op.size, [1]
+        vec[start] = 1
+        for _ in range(n_max):
+            nxt = [0] * op.size
+            for col, value in enumerate(vec):
+                for row, entry in op.columns[col].items():
+                    nxt[row] += entry * value
+            vec = nxt
+            expected.append(vec[start])
+        assert op.power_diagonals(v, n_max) == expected
+
+
+@settings(max_examples=60, deadline=None)
 @given(small_multigraphs(), st.integers(0, 3))
 def test_lazy_basis_is_the_word_enumeration(graph, depth):
     words = enumerate_words(shadow(graph), depth)
