@@ -474,10 +474,11 @@ def _write_json(o, pad: str, write, encode, texts: dict, sink) -> None:
         inner = pad + "  "
         sep = "{" + inner
         for key, item in o.items():
-            write(sep)
-            write(encode(key))
-            write(": ")
-            _write_json(item, inner, write, encode, texts, sink)
+            if type(item) is int:  # not a bool: key and count in one write
+                write(f"{sep}{encode(key)}: {item}")
+            else:
+                write(f"{sep}{encode(key)}: ")
+                _write_json(item, inner, write, encode, texts, sink)
             sep = "," + inner
         write(pad + "}")
         if sink is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from json.decoder import JSONObject
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -61,19 +62,18 @@ class DirectedGraph(Frozen):
     ) -> None:
         outgoing: dict[str, int] = {}
         for v in vertices:
-            _check_token(v, "vertex id")
-            if v in outgoing:
+            # The token is tested inline; `_check_token` runs only to raise.
+            if not (isinstance(v, str) and v) or v in outgoing:
+                _check_token(v, "vertex id")
                 raise GraphError(f"duplicate vertex id {v!r} in graph {name!r}")
             outgoing[v] = 0
         incoming = dict(outgoing)
         edge_by_id: dict[str, EdgeRecord] = {}
         for e in edges:
             edge_id = e.id
-            _check_token(edge_id, "edge id")
-            if edge_id in edge_by_id:
-                raise GraphError(
-                    f"duplicate edge id {edge_id!r} in graph {name!r}"
-                )
+            if not (isinstance(edge_id, str) and edge_id) or edge_id in edge_by_id:
+                _check_token(edge_id, "edge id")
+                raise GraphError(f"duplicate edge id {edge_id!r} in graph {name!r}")
             if edge_id in outgoing:
                 raise GraphError(
                     f"edge id {edge_id!r} collides with a vertex id "
@@ -439,16 +439,19 @@ def load_graph(path: str | Path) -> DirectedGraph:
     dict that lives for this one load."""
     strings: dict[str, str] = {}
     share = strings.setdefault
+    fields, new = itemgetter("id", "src", "dst"), tuple.__new__
 
     def parsed_edge(obj: dict) -> object:
-        # The `object_hook`: a JSON object that `_edge_record` accepts becomes
-        # its EdgeRecord as soon as it is parsed, so its dict is freed at
-        # once; any other object stays a dict.
-        if obj.keys() == _EDGE_KEYS:
-            edge_id, src, dst = obj["id"], obj["src"], obj["dst"]
-            if (isinstance(edge_id, str) and isinstance(src, str)
-                    and isinstance(dst, str)):
-                return EdgeRecord(edge_id, share(src, src), share(dst, dst))
+        # The `object_hook`: an object that `_edge_record` accepts becomes its
+        # EdgeRecord at once, so its dict is freed; any other stays a dict.
+        # The scanner makes exact strs; `new` skips the NamedTuple's `__new__`.
+        if len(obj) == 3:
+            try:
+                edge_id, src, dst = fields(obj)
+            except KeyError:
+                return obj
+            if type(edge_id) is str and type(src) is str and type(dst) is str:
+                return new(EdgeRecord, (edge_id, share(src, src), share(dst, dst)))
         return obj
 
     try:

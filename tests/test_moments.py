@@ -232,17 +232,18 @@ def test_power_diagonals_find_each_unit_in_constant_time():
 
 def test_matrix_keeps_positions_not_words():
     # Circulant 3 at depth 1000 has 6003 basis words on one line each. With
-    # every word's letter tuple the operator kept 26.4 MB; its columns alone
-    # keep 1.7 MB. The basis is built only when read.
+    # every word's letter tuple the operator kept 26.4 MB, with a column dict
+    # per word 1.7 MB; keeping the parent positions, it keeps about 0.24 MB.
+    # The basis and the columns are built only when read.
     tracemalloc.start()
     try:
         op = truncated_radial_matrix(K3, 1000)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert "basis" not in vars(op)
-    assert len(op.columns) == 6003
-    assert kept < 4_000_000
+    assert "basis" not in vars(op) and "columns" not in vars(op)
+    assert op.size == 6003
+    assert kept < 1_000_000
 
 
 def test_matrix_walk_keeps_the_word_tree_alone():

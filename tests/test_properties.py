@@ -33,11 +33,13 @@ from fractaloid import (
     family,
     fractal_pair,
     glue,
+    graph_from_json,
     graph_to_json,
     identically_distributed,
     inverse,
     is_connected,
     iterated_glue_loops,
+    load_graph,
     multiply,
     radial_moments,
     reduce_word,
@@ -569,6 +571,78 @@ def test_json_writer_with_shared_lists():
     for ensure_ascii in (False, True):
         expected = json.dumps(value, indent=2, ensure_ascii=ensure_ascii) + "\n"
         assert json_text(value, ensure_ascii=ensure_ascii) == expected
+
+
+# Edge objects written member by member, so that a key can be repeated,
+# which `json.dumps` cannot write. Each has at most one fault: a key missing,
+# an extra key, a key repeated, or a value that is not a name (a number,
+# null, a list or an object shaped like an edge). Some ids collide or end in
+# `~`, and some endpoints are undeclared.
+_ids = st.sampled_from(["e1", "e2", "e3", "e4", "e5", "e1~", "va"]).map(json.dumps)
+_ends = st.sampled_from(["va", "vb", "vc", "vd"]).map(json.dumps)
+_edge_shaped = st.tuples(_ids, _ends, _ends).map(
+    lambda t: '{"id": %s, "src": %s, "dst": %s}' % t)
+_odd_values = st.sampled_from(["1", "-2.5", "null", "[]", '["va"]', "{}"]) | _edge_shaped
+
+
+@st.composite
+def _edge_object_texts(draw):
+    members = [("id", draw(_ids)), ("src", draw(_ends)), ("dst", draw(_ends))]
+    fault = draw(st.sampled_from(
+        ["none", "none", "none", "missing", "extra", "repeated", "value"]))
+    at = draw(st.integers(0, 2))
+    if fault == "missing":
+        del members[at]
+    elif fault == "extra":
+        members.append((draw(st.sampled_from(["w", "ID", ""])), draw(_ends)))
+    elif fault == "repeated":
+        key = members[at][0]
+        names = _ids if key == "id" else _ends
+        members.append((key, draw(st.one_of(names, _odd_values))))
+    elif fault == "value":
+        members[at] = (members[at][0], draw(_odd_values))
+    members = draw(st.permutations(members))
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in members) + "}"
+
+
+@st.composite
+def _loader_texts(draw):
+    """A graph text with drawn edge objects and member order, or one edge."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_edge_object_texts())
+    vertices = draw(st.lists(st.sampled_from(["va", "vb", "vc", "vd"]), max_size=4,
+                             unique=True))
+    edges = draw(st.lists(_edge_object_texts(), max_size=4))
+    members = draw(st.permutations([
+        ("name", '"g"'), ("vertices", json.dumps(vertices)),
+        ("edges", "[" + ", ".join(edges) + "]")]))
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in members) + "}"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_loader_texts())
+def test_load_graph_matches_graph_from_json(tmp_path, text):
+    """The loader's edge check is a fast path of `graph_from_json`: the same
+    graph or the same message, whatever the keys, their order and values."""
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        expected = graph_from_json(json.loads(text))
+    except GraphError as exc:
+        with pytest.raises(GraphError) as excinfo:
+            load_graph(path)
+        assert type(excinfo.value) is GraphError
+        assert str(excinfo.value) == str(exc)
+        event("GraphError")
+        return
+    event("loaded")
+    graph = load_graph(path)
+    assert graph == expected
+    own = {v: v for v in graph.vertices}
+    for e in graph.edges:
+        assert type(e) is EdgeRecord
+        assert e.src is own[e.src] and e.dst is own[e.dst]
 
 
 # Graph files for the CLI: valid graphs, schema violations, valid text cut
