@@ -70,81 +70,6 @@ MAX_STATES_ENV = "FRACTALOID_MAX_STATES"
 MAX_TREE_REPORT_DEPTH = 480
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; usage errors are exit 1
-    # in this tool, so surface them as ParameterError instead.
-    def error(self, message):
-        raise ParameterError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fractaloid", description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def command(name, handler, help_text, *graphs):
-        sub = commands.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
-        for graph in graphs:
-            sub.add_argument(graph, type=Path)
-        return sub
-
-    gen = command("gen", _cmd_gen, "generate a named family graph file")
-    gen.add_argument("--family", required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--regularize", type=int, default=None, metavar="K",
-                     help="replace every edge by K parallel copies")
-    gen.add_argument("--loops", type=int, default=None, metavar="M",
-                     help="attach M fresh loops at every vertex")
-    gen.add_argument("--name", default=None, help="override the graph name")
-
-    for name, handler, help_text in (
-        ("info", _cmd_info, "structural summary of a graph"),
-        ("check", _cmd_check, "decide fractality and report the fractal pair"),
-        ("pair", _cmd_pair, "fractal pair of a fractal graph (error when non-fractal)"),
-        ("label", _cmd_label, "canonical lattice labeling of a graph"),
-    ):
-        command(name, handler, help_text, "graph")
-
-    moments = command("moments", _cmd_moments, "diagonal radial moments", "graph")
-    moments.add_argument("--max-n", type=int, default=6)
-
-    lattice = command("lattice", _cmd_lattice, "axis-path count table")
-    lattice.add_argument("--N", type=int, required=True, dest="n_bound")
-    lattice.add_argument("--max-n", type=int, default=8)
-    lattice.add_argument("--method", choices=("brute", "recurrence", "closed"),
-                         default=None, help="restrict to one counting method")
-    lattice.add_argument("--max-paths", type=int, default=DEFAULT_MAX_PATHS)
-
-    cls = command("classify", _cmd_classify, "partition graphs into spectral classes")
-    cls.add_argument("graphs", type=Path, nargs="+",
-                     help="graph files or directories of *.json files")
-
-    compare = command("compare", _cmd_compare, "isomorphism and moment comparison",
-                      "graph1", "graph2")
-    compare.add_argument("--max-n", type=int, default=6)
-
-    tree = command("tree", _cmd_tree, "depth-bounded vertex tree", "graph")
-    tree.add_argument("--root", required=True)
-    tree.add_argument("--depth", type=int, default=3)
-
-    matrix = command("matrix", _cmd_matrix, "truncated radial matrix diagnostics",
-                     "graph")
-    matrix.add_argument("--depth", type=int, default=4)
-
-    verify = command("verify", _cmd_verify, "three-way moment comparison table",
-                     "graph")
-    verify.add_argument("--max-n", type=int, default=8)
-
-    # The moment-table budget, after each command's own options.
-    for sub in (moments, compare, matrix, verify):
-        sub.add_argument("--max-states", type=int, default=None)
-    # The output flags, last in every subcommand's usage and help.
-    for sub in commands.choices.values():
-        sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        sub.add_argument("--out", type=Path, default=None)
-    return parser
-
-
 def _resolve_max_states(args: argparse.Namespace) -> int:
     source, cap = "--max-states", getattr(args, "max_states", None)
     if cap is None:
@@ -354,6 +279,77 @@ def _cmd_verify(args) -> dict:
     return verification_report(
         verify_moment_theorem(graph, args.max_n, max_states=cap)
     )
+
+
+# --- the command line -------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with status 2 on usage errors; usage errors are exit 1
+    # in this tool, so surface them as ParameterError instead.
+    def error(self, message):
+        raise ParameterError(message)
+
+
+# Every subcommand once, by name: its handler, its help and its arguments in
+# the order of its usage, each a name with the keywords of `add_argument`.
+# The moment-table budget comes after a command's own options, and the
+# output flags come last in every subcommand.
+_GRAPH = ("graph", {"type": Path})
+_MAX_STATES = ("--max-states", {"type": int})
+_OUTPUT = (("--format", {"choices": ("json", "csv", "text"), "default": "json"}),
+           ("--out", {"type": Path}))
+_COMMANDS = {
+    "gen": (_cmd_gen, "generate a named family graph file", (
+        ("--family", {"required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--regularize", {"type": int, "metavar": "K",
+                          "help": "replace every edge by K parallel copies"}),
+        ("--loops", {"type": int, "metavar": "M",
+                     "help": "attach M fresh loops at every vertex"}),
+        ("--name", {"help": "override the graph name"}))),
+    "info": (_cmd_info, "structural summary of a graph", (_GRAPH,)),
+    "check": (_cmd_check, "decide fractality and report the fractal pair",
+              (_GRAPH,)),
+    "pair": (_cmd_pair, "fractal pair of a fractal graph (error when non-fractal)",
+             (_GRAPH,)),
+    "label": (_cmd_label, "canonical lattice labeling of a graph", (_GRAPH,)),
+    "moments": (_cmd_moments, "diagonal radial moments", (
+        _GRAPH, ("--max-n", {"type": int, "default": 6}), _MAX_STATES)),
+    "lattice": (_cmd_lattice, "axis-path count table", (
+        ("--N", {"type": int, "required": True, "dest": "n_bound"}),
+        ("--max-n", {"type": int, "default": 8}),
+        ("--method", {"choices": ("brute", "recurrence", "closed"),
+                      "help": "restrict to one counting method"}),
+        ("--max-paths", {"type": int, "default": DEFAULT_MAX_PATHS}))),
+    "classify": (_cmd_classify, "partition graphs into spectral classes", (
+        ("graphs", {"type": Path, "nargs": "+",
+                    "help": "graph files or directories of *.json files"}),)),
+    "compare": (_cmd_compare, "isomorphism and moment comparison", (
+        ("graph1", {"type": Path}), ("graph2", {"type": Path}),
+        ("--max-n", {"type": int, "default": 6}), _MAX_STATES)),
+    "tree": (_cmd_tree, "depth-bounded vertex tree", (
+        _GRAPH, ("--root", {"required": True}),
+        ("--depth", {"type": int, "default": 3}))),
+    "matrix": (_cmd_matrix, "truncated radial matrix diagnostics", (
+        _GRAPH, ("--depth", {"type": int, "default": 4}), _MAX_STATES)),
+    "verify": (_cmd_verify, "three-way moment comparison table", (
+        _GRAPH, ("--max-n", {"type": int, "default": 8}), _MAX_STATES)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand `command` alone:
+    that subcommand parses and prints its help and usage errors as it does
+    in the full parser."""
+    parser = _Parser(prog="fractaloid", description=__doc__)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            sub = commands.add_parser(name, help=help_text)
+            sub.set_defaults(handler=handler)
+            for flag, keywords in (*arguments, *_OUTPUT):
+                sub.add_argument(flag, **keywords)
+    return parser
 
 
 # --- rendering --------------------------------------------------------------
@@ -666,7 +662,12 @@ def _emit(out: Path | None, value, write_report) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A command line that names its subcommand first parses with that
+    # subcommand's parser alone: building all twelve costs more than most
+    # jobs' own work. Any other command line gets the full parser.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except ParameterError as exc:

@@ -29,3 +29,32 @@ def test_cli_starts_without_dataclasses_or_inspect():
     assert lines[0] == "[]", "imported by `import fractaloid.cli`"
     assert lines[-1] == "[]", "imported by running `lattice`"
     assert lines[1] == "N,n,total,brute,recurrence,closed_form"
+
+
+# Counts the parsers built by one `main` call in a fresh interpreter.
+PARSERS_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import fractaloid.cli
+built = []
+init = fractaloid.cli._Parser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+fractaloid.cli._Parser.__init__ = counted
+fractaloid.cli.main(["lattice", "--N", "1", "--max-n", "2", "--format", "csv"])
+print(built)
+"""
+
+
+def test_cli_builds_only_the_parser_of_its_subcommand():
+    """A command line that names its subcommand first builds the top-level
+    parser and that subcommand's, not all twelve."""
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", PARSERS_PROBE, str(SRC)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "N,n,total,brute,recurrence,closed_form"
+    assert lines[-1] == "['fractaloid', 'fractaloid lattice']"
