@@ -17,8 +17,11 @@ from fractaloid import (
     GraphError, ParameterError, family, graph_to_json, load_graph, regularize,
     save_graph,
 )
-from fractaloid.cli import _cmd_info, _tree_to_json, build_parser, json_text, main
+from fractaloid.cli import (
+    _cmd_info, _report, _tree_to_json, _write_through, build_parser, json_text, main,
+)
 from fractaloid.fractality import vertex_tree
+from text_oracle import text_lines
 
 
 def run_cli(capsys, *argv):
@@ -422,8 +425,8 @@ def test_classify_holds_one_graph_at_a_time(tmp_path):
 
 
 def test_writers_leave_no_reference_cycle():
-    """The JSON writer and the tree converter free what they built but did
-    not return on return, without waiting for the cyclic collector."""
+    """The JSON and text writers and the tree converter free what they built
+    but did not return on return, without waiting for the cyclic collector."""
     tree = vertex_tree(family("complete", 3), "v1", 3).root
     shared = [1, [2, 3]]
     enabled = gc.isenabled()
@@ -432,10 +435,12 @@ def test_writers_leave_no_reference_cycle():
         gc.collect()
         payload = _tree_to_json(tree)
         assert gc.collect() == 0
-        json_text({"a": [1, "x", None, True], "b": {}})
-        assert gc.collect() == 0
-        json_text({"tree": payload, "twice": [shared, shared]})
-        assert gc.collect() == 0
+        for value in ({"a": [1, "x", None, True], "b": {}},
+                      {"tree": payload, "twice": [shared, shared]}):
+            json_text(value)
+            assert gc.collect() == 0
+            _write_through(io.StringIO(), _report("tree", value, "text")[1])
+            assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
@@ -894,13 +899,16 @@ class _CountingStdout:
 @pytest.mark.parametrize("graph, argv", [
     (("complete", 4), ["tree", "--root", "v1", "--depth", "6"]),
     (("circulant", 5000), ["info"]),
-], ids=["tree", "info"])
+    (("complete", 4), ["tree", "--root", "v1", "--depth", "6", "--format", "text"]),
+    (("circulant", 5000), ["info", "--format", "text"]),
+], ids=["tree", "info", "tree-text", "info-text"])
 def test_streamed_report_reaches_stdout_in_chunks(monkeypatch, tmp_path, graph, argv):
     """A large report reaches stdout in chunks of tens of KiB, not one piece
     at a time (a stdout that writes through, as under PYTHONUNBUFFERED,
-    would pay a system call per write): the 11 MB vertex tree of complete 4
-    at depth 6, most of it kept subtree texts, and `info` of 5,000
-    vertices, all of it small pieces. The text is the stdlib's."""
+    would pay a system call per write), in JSON and in text: the 11 MB
+    vertex tree of complete 4 at depth 6 (7 MB in text), most of it kept
+    subtree texts, and `info` of 5,000 vertices, all of it small pieces.
+    The JSON text is the stdlib's, and the text is the reference's."""
     save_graph(family(*graph), tmp_path / "g.json")
     argv = [argv[0], str(tmp_path / "g.json"), *argv[1:]]
     stdout = _CountingStdout()
@@ -908,10 +916,14 @@ def test_streamed_report_reaches_stdout_in_chunks(monkeypatch, tmp_path, graph, 
     assert main(argv) == 0
     monkeypatch.undo()
     args = build_parser().parse_args(argv)
+    payload = args.handler(args)
     envelope = {"schema_version": "1.0", "command": argv[0],
-                "payload": args.handler(args), "warnings": []}
+                "payload": payload, "warnings": []}
     report = "".join(stdout.texts)
-    assert report == json.dumps(envelope, indent=2, ensure_ascii=False) + "\n"
+    if args.format == "json":
+        assert report == json.dumps(envelope, indent=2, ensure_ascii=False) + "\n"
+    else:
+        assert report == "".join(line + "\n" for line in text_lines(payload))
     assert len(stdout.texts) <= len(report) / (32 << 10) + 2
 
 
@@ -960,10 +972,10 @@ def test_report_to_stream_without_encoding_is_unchanged(monkeypatch, tmp_path):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_tree_report_is_written_without_a_second_copy(monkeypatch, tmp_path, fmt):
     """The 11 MB vertex tree of complete 4 at depth 6, written to a real
-    file, peaks under 1.85 times the report length: about 0.82 (JSON; 1.03
-    on 3.12 and 3.13) and 1.29 (text) on 3.11. Encoding the whole report in
-    one piece read 2.0 in both formats, and so did adding the final newline
-    of text as a second join."""
+    file, peaks under 1.85 times the report length: about 0.82 in JSON and
+    0.81 in text on 3.10 and 3.11, and 1.03 and 1.01 on 3.12 and 3.13.
+    Encoding the whole report in one piece read 2.0 in both formats, and so
+    did adding the final newline of text as a second join."""
     save_graph(family("complete", 4), tmp_path / "c4.json")
     path = tmp_path / "report"
     with open(path, "w", encoding="utf-8") as stream:
@@ -977,6 +989,26 @@ def test_tree_report_is_written_without_a_second_copy(monkeypatch, tmp_path, fmt
             tracemalloc.stop()
     assert code == 0
     assert peak < 1.85 * len(path.read_text(encoding="utf-8"))
+
+
+def test_text_tree_report_holds_no_list_of_its_lines(monkeypatch, tmp_path):
+    """The text report of the same tree, written to a real file, peaks under
+    1.1 times its length: about 0.81 on 3.10 and 3.11, and 1.01 on 3.12 and
+    3.13. It is streamed by the JSON report's walk, with its one cache of
+    shared subtree texts. A list of every line, joined in batches, read 1.29."""
+    save_graph(family("complete", 4), tmp_path / "c4.json")
+    path = tmp_path / "report"
+    with open(path, "w", encoding="utf-8") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        tracemalloc.start()
+        try:
+            code = main(["tree", str(tmp_path / "c4.json"), "--root", "v1",
+                         "--depth", "6", "--format", "text"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.1 * len(path.read_text(encoding="utf-8"))
 
 
 def test_info_drops_the_graph_before_the_degrees(tmp_path):

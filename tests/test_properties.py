@@ -54,8 +54,9 @@ from fractaloid import (
     vertex_tree,
     vertex_word,
 )
-from fractaloid.cli import _render_text, _tree_to_json, json_text, main
+from fractaloid.cli import _report, _tree_to_json, _write_through, json_text, main
 from fractaloid.fractality import DEFAULT_MAX_TREE_NODES, TreeNode, VertexTree
+from text_oracle import text_lines
 
 # Moments up to order 4 depend on vertex degrees alone; order 6 is the first
 # that sees how the arcs of the cover fit together. A closed walk of length n
@@ -501,20 +502,27 @@ def test_shared_vertex_tree_matches_unfolding(graph, depth):
             assert tree_isomorphic(t1, t2) == (shape1 == shape2)
 
 
+def _text_report(value):
+    """The text report of the dict or list `value`, as the CLI streams it."""
+    buffer = io.StringIO()
+    _write_through(buffer, _report("tree", value, "text")[1])
+    return buffer.getvalue()
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_multigraphs(), st.integers(min_value=0, max_value=4))
 def test_text_writer_renders_shared_subtrees_as_unfolded(graph, depth):
     for v in graph.vertices:
         shared = _tree_to_json(vertex_tree(graph, v, depth).root)
         unshared = json.loads(json.dumps(shared))
-        assert _render_text(shared) == _render_text(unshared)
+        assert _text_report(shared) == _text_report(unshared)
 
 
 def test_text_writer_with_containers_shared_across_depths():
     leaf = {"x": [1, [2, None]], "y": []}
     shared = [leaf, leaf, {}]
     value = {"a": shared, "b": [shared, leaf], "c": leaf, "d": {"e": shared}}
-    assert _render_text(value) == _render_text(json.loads(json.dumps(value)))
+    assert _text_report(value) == _text_report(json.loads(json.dumps(value)))
 
 
 @pytest.mark.parametrize("n_bound", [*range(1, 9), 40])
@@ -546,6 +554,23 @@ json_values = st.recursive(
     | st.dictionaries(json_strings, inner, max_size=4),
     max_leaves=25,
 )
+
+
+@st.composite
+def _text_payloads(draw):
+    """A dict or list of `json_values`, alone or met several times: at
+    several depths, and twice at one depth."""
+    value = draw(st.lists(json_values, max_size=4)
+                 | st.dictionaries(json_strings, json_values, max_size=4))
+    if draw(st.booleans()):
+        value = {"a": value, "b": [value, {"c": value}, value, ()], "d": value}
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_text_payloads())
+def test_text_writer_matches_oracle(value):
+    assert _text_report(value) == "".join(line + "\n" for line in text_lines(value))
 
 
 @settings(max_examples=200, deadline=None)
