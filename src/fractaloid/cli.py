@@ -183,20 +183,11 @@ def _cmd_lattice(args) -> dict:
     return {"N": args.n_bound, "rows": rows}
 
 
-def _collect_graph_paths(paths: list[Path]) -> list[Path]:
-    found: list[Path] = []
-    for path in paths:
-        if path.is_dir():
-            found.extend(sorted(path.glob("*.json")))
-        else:
-            found.append(path)
-    return found
-
-
 def _cmd_classify(args) -> dict:
     # One graph is held at a time. Classification never raises, so the first
     # file that fails to load still gives the error.
-    graphs = (load_graph(p) for p in _collect_graph_paths(args.graphs))
+    graphs = (load_graph(p) for path in args.graphs
+              for p in (sorted(path.glob("*.json")) if path.is_dir() else (path,)))
     return classification_report(classify(graphs))
 
 

@@ -238,34 +238,25 @@ def family(kind: str, n: int) -> DirectedGraph:
     if kind in ("circulant", "complete") and n < 2:
         raise ParameterError(f"family {kind!r} requires n >= 2, got {n}")
 
+    vs = ("v1",) if kind == "loops" else tuple(f"v{j}" for j in range(1, n + 1))
     if kind == "loops":
-        v = "v1"
-        return DirectedGraph(
-            f"O{n}", (v,), tuple(EdgeRecord(f"e{j}", v, v) for j in range(1, n + 1))
-        )
-    vs = tuple(f"v{j}" for j in range(1, n + 1))
-    if kind == "circulant":
-        es = tuple(
-            EdgeRecord(f"e{j}", f"v{j}", f"v{j % n + 1}") for j in range(1, n + 1)
-        )
-        return DirectedGraph(f"K{n}", vs, es)
-    if kind == "complete":
-        es = tuple(
-            EdgeRecord(f"e{i}_{j}", f"v{i}", f"v{j}")
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i != j
-        )
-        return DirectedGraph(f"C{n}", vs, es)
-    if kind == "path":
-        es = tuple(
-            EdgeRecord(f"e{j}", f"v{j}", f"v{j + 1}") for j in range(1, n)
-        )
-        return DirectedGraph(f"P{n}", vs, es)
-    # star: the root v1 and leaves v2..v(n+1)
-    vs += (f"v{n + 1}",)
-    es = tuple(EdgeRecord(f"e{j}", "v1", f"v{j + 1}") for j in range(1, n + 1))
-    return DirectedGraph(f"T{n}_1", vs, es)
+        name = f"O{n}"
+        es = (EdgeRecord(f"e{j}", "v1", "v1") for j in range(1, n + 1))
+    elif kind == "circulant":
+        name = f"K{n}"
+        es = (EdgeRecord(f"e{j}", f"v{j}", f"v{j % n + 1}") for j in range(1, n + 1))
+    elif kind == "complete":
+        name = f"C{n}"
+        es = (EdgeRecord(f"e{i}_{j}", f"v{i}", f"v{j}")
+              for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
+    elif kind == "path":
+        name = f"P{n}"
+        es = (EdgeRecord(f"e{j}", f"v{j}", f"v{j + 1}") for j in range(1, n))
+    else:  # star: the root v1 and leaves v2..v(n+1)
+        name = f"T{n}_1"
+        vs += (f"v{n + 1}",)
+        es = (EdgeRecord(f"e{j}", "v1", f"v{j + 1}") for j in range(1, n + 1))
+    return DirectedGraph(name, vs, tuple(es))
 
 
 def regularize(graph: DirectedGraph, k: int) -> DirectedGraph:
@@ -410,13 +401,13 @@ class _GraphDecoder(json.JSONDecoder):
     `save_graph` writes hold the vertex list before the edges, so the
     endpoints that `share` maps as the edges are parsed are the vertex
     list's own strings: no vertex name is ever held as two string objects.
-    The top-level object is parsed by `json.decoder.JSONObject`, the
-    stdlib's pure-Python parser of one object, and each member by the C
-    scanner, so the errors are those of `json.loads`."""
+    The top-level object is parsed, with no `object_hook`, by the stdlib's
+    pure-Python `json.decoder.JSONObject`, and each member by the C scanner
+    with the hook, so the errors are those of `json.loads`."""
 
     def __init__(self, *, share, **kw) -> None:
         super().__init__(**kw)
-        scan, strict, object_hook = self.scan_once, self.strict, self.object_hook
+        scan, strict = self.scan_once, self.strict
 
         def scan_member(text: str, end: int) -> tuple[object, int]:
             value, end = scan(text, end)
@@ -427,7 +418,7 @@ class _GraphDecoder(json.JSONDecoder):
         def scan_document(text: str, end: int) -> tuple[object, int]:
             if not text.startswith("{", end):
                 return scan(text, end)
-            return JSONObject((text, end + 1), strict, scan_member, object_hook,
+            return JSONObject((text, end + 1), strict, scan_member, None,
                               None, {})
         self.scan_once = scan_document
 
@@ -462,9 +453,6 @@ def load_graph(path: str | Path) -> DirectedGraph:
     except ValueError as exc:
         # JSONDecodeError and UnicodeDecodeError alike.
         raise GraphError(f"malformed graph JSON in {path}: {exc}") from exc
-    if type(obj) is EdgeRecord:
-        # The document itself was one edge object: it fails as graph JSON.
-        obj = {"id": obj.id, "src": obj.src, "dst": obj.dst}
     name, vertices, edges = _graph_fields(obj)
     # Every entry that is not an EdgeRecord yet is faulty and raises here.
     records = tuple(e if type(e) is EdgeRecord else _edge_record(e) for e in edges)

@@ -677,6 +677,27 @@ def test_max_paths_below_one_is_usage_error(capsys):
     assert "--max-paths" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["moments", "@k3.json"], {"FRACTALOID_MAX_STATES": "abc"},
+     "FRACTALOID_MAX_STATES must be an integer, got 'abc'"),
+    (["lattice", "--N", "1", "--max-n", "-1"], {}, "--max-n must be >= 0"),
+    (["matrix", "@k3.json", "--depth", "-1"], {}, "--depth must be >= 0"),
+    (["tree", "@k3.json", "--root", "v1", "--depth", "-1"], {},
+     "tree depth must be >= 0, got -1"),
+    (["gen", "--family", "circulant", "--n", "3", "--regularize", "0"], {},
+     "regularization multiplicity must be >= 1, got 0"),
+])
+def test_out_of_range_values_are_usage_errors(capsys, monkeypatch, workdir, argv,
+                                              env, message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert json.loads(stdout)["error"] == {"type": "ParameterError",
+                                           "message": message}
+
+
 def test_out_flag_writes_report(capsys, workdir, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run_cli(capsys, "check", str(workdir / "k3.json"),
@@ -751,6 +772,16 @@ def _run_module(argv, **env):
                **env)
     return subprocess.run([sys.executable, "-m", "fractaloid", *argv],
                           capture_output=True, env=env, timeout=60)
+
+
+def test_graph_file_nested_too_deeply_is_a_limit_error(tmp_path):
+    # `json.loads` recurses once per `[`; `main` maps its RecursionError.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    result = _run_module(["info", str(deep)])
+    assert (result.returncode, result.stderr) == (3, b"")
+    assert json.loads(result.stdout)["error"] == {
+        "type": "LimitError", "message": "info: input nests too deeply"}
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -182,6 +182,11 @@ def test_iterated_glue_loops_edge_count():
     assert len(iterated_glue_loops(g, 2).edges) == len(g.edges) + 2 * len(g.vertices)
 
 
+def test_iterated_glue_loops_on_the_empty_graph():
+    with pytest.raises(ParameterError, match="^cannot attach loops to an empty graph$"):
+        iterated_glue_loops(DirectedGraph("e", (), ()), 1)
+
+
 def _edge_ids(graph):
     return [e.id for e in graph.edges]
 

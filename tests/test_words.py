@@ -23,6 +23,7 @@ from fractaloid import (
     reduce_word,
     shadow,
     source_range,
+    truncated_radial_matrix,
     vertex_word,
 )
 
@@ -179,6 +180,28 @@ def test_enumerate_levels_sorted_by_tokens():
         for _, level in itertools.groupby(words[len(vertices):], key=len):
             tokens = [tuple(a.token for a in w.letters) for w in level]
             assert tokens == sorted(tokens)
+
+
+def test_levels_sort_tokens_as_strings_when_one_id_prefixes_another():
+    # `e1` is a prefix of `e10`, so the token `e1~` sorts after `e10` and
+    # `e10~` (`"0" < "~"`): an (edge id, inverted) key would put it second.
+    graph = DirectedGraph("G", ("a",), tuple(
+        EdgeRecord(i, "a", "a") for i in ("e1", "e10", "e2")))
+    level_1 = ["e1", "e10", "e10~", "e1~", "e2", "e2~"]
+    op = truncated_radial_matrix(graph, 2)
+    for words in (enumerate_words(shadow(graph), 2), op.basis):
+        tokens = [tuple(a.token for a in w.letters) for w in words]
+        assert tokens[1:7] == [(t,) for t in level_1]
+        assert tokens[7:] == sorted(tokens[7:])
+    # Each column links a word to the word without its last letter (the unit
+    # for one letter: `a` is the only vertex) and to its one-letter
+    # extensions, at their basis positions.
+    position = {w.letters: i for i, w in enumerate(op.basis)}
+    for i, word in enumerate(op.basis):
+        parent = [position[word.letters[:-1]]] if word.letters else []
+        children = [j for j, w in enumerate(op.basis)
+                    if w.letters and w.letters[:-1] == word.letters]
+        assert op.columns[i] == dict.fromkeys(parent + children, 1)
 
 
 def test_enumerate_budget():
